@@ -33,6 +33,7 @@ from .funexpr import (
     Constant,
     DiffQuot,
     FunctionExpr,
+    MeasureForm,
     MeasureOC,
     MeasureOM,
     MeasureSOC,

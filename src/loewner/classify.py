@@ -32,6 +32,8 @@ from .matcalc import (
     haar_unitary,
     matrix_from_json,
     matrix_to_json,
+    min_eig_floor,
+    psd_min_eig,
     rand_hermitian,
     rand_ordered_pair,
     sym,
@@ -46,6 +48,10 @@ __all__ = [
 ]
 
 HALFPLANE_TOL = 1e-10
+T_DRAWS = 8                      # random Jensen weights per convexity trial
+CLIP_LEN = 20.0                  # length of the window sampled on long domains
+LOEWNER_SETS = 64                # node sets per divided-difference check
+LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -54,10 +60,6 @@ class CertifyConfig:
     dims: tuple = (2, 3, 4, 5, 6, 7, 8)
     tol: float = 1e-9
     seed: int = 0
-    t_draws: int = 8
-    clip_len: float = 20.0
-    loewner_sets: int = 64
-    loewner_sizes: tuple = (2, 3, 4, 5, 6, 7, 8)
 
 
 @dataclass(frozen=True)
@@ -105,14 +107,6 @@ def _dim(config: CertifyConfig, trial: int) -> int:
     return config.dims[trial % len(config.dims)]
 
 
-def _min_eig_scaled(diff: np.ndarray, tol: float):
-    """(violated, min_eig) under the relative slack tol * (1 + ||diff||)."""
-    eigs = np.linalg.eigvalsh(sym(diff))
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    mn = float(np.min(eigs))
-    return mn < -tol * (1.0 + scale), mn
-
-
 # --- monotonicity -----------------------------------------------------------------
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
@@ -120,9 +114,9 @@ def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, trial)
         n = _dim(config, trial)
-        h1, h2 = rand_ordered_pair(rng, n, fn.domain, config.clip_len)
-        bad, mn = _min_eig_scaled(apply_fn(fn, h2) - apply_fn(fn, h1), config.tol)
-        if bad:
+        h1, h2 = rand_ordered_pair(rng, n, fn.domain, CLIP_LEN)
+        mn, floor = min_eig_floor(apply_fn(fn, h2) - apply_fn(fn, h1), config.tol)
+        if mn < floor:
             witness = {"check": "monotone", "trial": trial, "dim": n,
                        "h1": matrix_to_json(h1), "h2": matrix_to_json(h2),
                        "min_eig": mn}
@@ -144,24 +138,24 @@ def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, trial)
         n = _dim(config, trial)
-        h1 = rand_hermitian(rng, n, fn.domain, config.clip_len)
-        h2 = rand_hermitian(rng, n, fn.domain, config.clip_len)
+        h1 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
+        h2 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         f1, f2 = apply_fn(fn, h1), apply_fn(fn, h2)
-        ts = [0.5] + [float(t) for t in rng.uniform(0.0, 1.0, config.t_draws)]
+        ts = [0.5] + [float(t) for t in rng.uniform(0.0, 1.0, T_DRAWS)]
         for t in ts:
             mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
-            bad, mn = _min_eig_scaled(t * f1 + (1.0 - t) * f2 - mix, config.tol)
-            if bad:
+            mn, floor = min_eig_floor(t * f1 + (1.0 - t) * f2 - mix, config.tol)
+            if mn < floor:
                 witness = {"check": "jensen", "trial": trial, "dim": n, "t": t,
                            "h1": matrix_to_json(h1), "h2": matrix_to_json(h2),
                            "min_eig": mn}
                 return Certificate("operator_convex", "fail", trial + 1,
                                    config.tol, config.seed, witness)
-        h = rand_hermitian(rng, n, fn.domain, config.clip_len)
+        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         v = _rand_isometry(rng, n)
         corner = apply_fn(fn, compress(h, v))
-        bad, mn = _min_eig_scaled(compress(apply_fn(fn, h), v) - corner, config.tol)
-        if bad:
+        mn, floor = min_eig_floor(compress(apply_fn(fn, h), v) - corner, config.tol)
+        if mn < floor:
             witness = {"check": "davis", "trial": trial, "dim": n,
                        "h1": matrix_to_json(h),
                        "p": matrix_to_json(v @ v.conj().T), "min_eig": mn}
@@ -189,11 +183,11 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     for trial in range(config.trials):
         rng = _trial_rng(config.seed, trial)
         n = _dim(config, trial)
-        h = rand_hermitian(rng, n, fn.domain, config.clip_len)
+        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         v = _rand_isometry(rng, n)
         corner = apply_fn(fn, compress(h, v))
-        bad, mn = _min_eig_scaled(apply_fn(fn, h) - embed(corner, v), config.tol)
-        if bad:
+        mn, floor = min_eig_floor(apply_fn(fn, h) - embed(corner, v), config.tol)
+        if mn < floor:
             direct_witness = {"check": "strong", "trial": trial, "dim": n,
                               "h1": matrix_to_json(h),
                               "p": matrix_to_json(v @ v.conj().T), "min_eig": mn}
@@ -249,30 +243,30 @@ def loewner_matrix(fn, nodes) -> np.ndarray:
     return out
 
 
-def _node_window(fn, clip_len: float) -> tuple:
-    win = fn.domain.clip(clip_len)
+def _node_window(fn) -> tuple:
+    win = fn.domain.clip(CLIP_LEN)
     width = win.hi - win.lo
     return win.lo + 0.01 * width, win.hi - 0.01 * width
 
 
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
-    lo, hi = _node_window(fn, config.clip_len)
-    for i in range(config.loewner_sets):
+    lo, hi = _node_window(fn)
+    for i in range(LOEWNER_SETS):
         rng = _trial_rng(config.seed, i)
-        size = config.loewner_sizes[i % len(config.loewner_sizes)]
+        size = LOEWNER_SIZES[i % len(LOEWNER_SIZES)]
         nodes = rng.uniform(lo, hi, size=size)
         for _ in range(100):
             if len(np.unique(nodes)) == size:
                 break
             nodes = rng.uniform(lo, hi, size=size)
-        bad, mn = _min_eig_scaled(loewner_matrix(fn, nodes), config.tol)
-        if bad:
+        mn, floor = min_eig_floor(loewner_matrix(fn, nodes), config.tol)
+        if mn < floor:
             witness = {"check": "loewner", "trial": i,
                        "nodes": [float(x) for x in sorted(nodes)], "min_eig": mn}
             return Certificate("loewner_order", "fail", i + 1,
                                config.tol, config.seed, witness)
-    return Certificate("loewner_order", "pass", config.loewner_sets,
+    return Certificate("loewner_order", "pass", LOEWNER_SETS,
                        config.tol, config.seed)
 
 
@@ -287,7 +281,7 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig(),
     if grid.re_window is not None:
         rlo, rhi = grid.re_window
     else:
-        win = fn.domain.clip(config.clip_len)
+        win = fn.domain.clip(CLIP_LEN)
         rlo, rhi = win.lo, win.hi
     res = np.linspace(rlo, rhi, grid.re_points)
     ims = np.geomspace(grid.im_range[0], grid.im_range[1], grid.im_points)
@@ -364,29 +358,29 @@ def replay_witness(fn, cert: Certificate) -> float:
     kind = w.get("check")
     if kind == "monotone":
         h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
-        return _min_eig_scaled(apply_fn(fn, h2) - apply_fn(fn, h1), 0.0)[1]
+        return psd_min_eig(apply_fn(fn, h2) - apply_fn(fn, h1))
     if kind == "jensen":
         h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
         t = w["t"]
         mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
         diff = t * apply_fn(fn, h1) + (1.0 - t) * apply_fn(fn, h2) - mix
-        return _min_eig_scaled(diff, 0.0)[1]
+        return psd_min_eig(diff)
     if kind == "davis":
         from .matcalc import projection_basis
 
         h, p = matrix_from_json(w["h1"]), matrix_from_json(w["p"])
         v = projection_basis(p)
         diff = compress(apply_fn(fn, h), v) - apply_fn(fn, compress(h, v))
-        return _min_eig_scaled(diff, 0.0)[1]
+        return psd_min_eig(diff)
     if kind == "strong":
         from .matcalc import projection_basis
 
         h, p = matrix_from_json(w["h1"]), matrix_from_json(w["p"])
         v = projection_basis(p)
         diff = apply_fn(fn, h) - embed(apply_fn(fn, compress(h, v)), v)
-        return _min_eig_scaled(diff, 0.0)[1]
+        return psd_min_eig(diff)
     if kind == "loewner":
-        return _min_eig_scaled(loewner_matrix(fn, w["nodes"]), 0.0)[1]
+        return psd_min_eig(loewner_matrix(fn, w["nodes"]))
     if kind == "halfplane":
         z = complex(w["z"][0], w["z"][1])
         return fn.eval_complex(z).imag

@@ -206,12 +206,11 @@ def _cmd_measure(args) -> int:
 
     transform = spec.get("transform")
     out = {"kind_in": kind, "input": measures.rep_to_json(rep)}
-    out_rep, out_kind = rep, kind
+    out_rep = rep
     if transform:
         op = transform.get("op")
         if op == "om_to_soc":
             out_rep = measures.om_to_soc(rep, float(transform["x0"]))
-            out_kind = "soc"
         elif op == "extend":
             ext, delta = measures.extend_at_endpoint(rep, float(transform["b"]))
             xs = _sample_grid(rep.interval)
@@ -219,21 +218,18 @@ def _cmd_measure(args) -> int:
                 "b": ext.b, "delta": delta, "value_at_b": ext.value_at_b,
                 "identity_residual_max": ext.identity_residual(xs),
             }
-            out_rep, out_kind = ext.quotient_rep, "soc"
+            out_rep = ext.quotient_rep
         elif op == "substitute_square":
             out_rep = measures.substitute_square(rep)
-            out_kind = "oc"
         elif op == "recover":
-            node = {"om": funexpr.MeasureOM, "oc": funexpr.MeasureOC,
-                    "soc": funexpr.MeasureSOC}[kind](rep)
             w = measures.recover_atom_weight(
-                node, float(transform["r"]), tuple(transform["window"]),
+                funexpr.MeasureForm(rep), float(transform["r"]), tuple(transform["window"]),
                 eps_list=tuple(transform.get("eps", (1e-2, 1e-3, 1e-4))),
                 side=transform.get("side", "+"))
             out["recovered"] = {"r": float(transform["r"]), "weight": w}
         else:
             raise _CliFailure(EVAL_ERROR, f"unknown measure op {op!r}")
-    out["kind_out"] = out_kind
+    out["kind_out"] = out_rep.kind
     out["output"] = measures.rep_to_json(out_rep)
     out["transform"] = transform
     _write_json(args.out, "measure.json", out)

@@ -43,10 +43,6 @@ class SingularBlock(LoewnerError):
     """Complementary block of a Schur complement is not positive invertible."""
 
 
-class RetryExhausted(LoewnerError):
-    """Resampling failed to produce an admissible random instance."""
-
-
 # --- certification errors ---------------------------------------------------
 
 class DuplicateNodes(LoewnerError):

@@ -25,38 +25,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    BranchError,
-    DomainError,
-    NotNegative,
-    NotPositive,
-    OutsideClosure,
-    UnsupportedNode,
-    ZeroFunction,
-)
+from .errors import BranchError, DomainError, OutsideClosure, UnsupportedNode
 from .interval import REAL_LINE, Interval
-from .measures import (
-    OCRep,
-    OMRep,
-    SOCRep,
-    deriv_oc,
-    deriv_om,
-    deriv_soc,
-    eval_oc,
-    eval_oc_complex,
-    eval_om,
-    eval_om_complex,
-    eval_soc,
-    eval_soc_complex,
-    rep_from_json,
-    rep_to_json,
-)
-from .scanning import check_negative, check_positive, endpoint_limit
+from .measures import eval_form, form_sum, rep_from_json, rep_to_json
+from .scanning import endpoint_limit, scan_grid
 
 __all__ = [
     "FunctionExpr", "Constant", "Affine", "Power", "Reciprocal", "Catalog",
     "Quotient", "DiffQuot", "NegRecip", "MulLinear", "Compose",
-    "MeasureOM", "MeasureOC", "MeasureSOC",
+    "MeasureForm", "MeasureOM", "MeasureOC", "MeasureSOC",
     "identity", "to_json", "from_json", "CATALOG",
 ]
 
@@ -91,7 +68,9 @@ class FunctionExpr:
 
     def eval_real(self, x):
         xs = np.asarray(x, dtype=float)
-        self._require_in_domain(xs)
+        ok = self.domain.mask(xs)
+        if not np.all(ok):
+            raise DomainError(f"x={xs[~ok].ravel()[0]!r} outside domain {self.domain}")
         out = self._val(xs)
         return float(out) if np.ndim(x) == 0 else out
 
@@ -113,15 +92,6 @@ class FunctionExpr:
             raise DomainError(f"x={bad!r} not interior to {dom}")
         out = self._dval(xs)
         return float(out) if np.ndim(x) == 0 else out
-
-    def _require_in_domain(self, xs):
-        dom = self.domain
-        lo_ok = (xs > dom.lo) | ((xs == dom.lo) & dom.lo_closed)
-        hi_ok = (xs < dom.hi) | ((xs == dom.hi) & dom.hi_closed)
-        ok = lo_ok & hi_ok
-        if not np.all(ok):
-            bad = xs[~ok].ravel()[0]
-            raise DomainError(f"x={bad!r} outside domain {dom}")
 
     def _numeric_dval(self, xs):
         dom = self.domain
@@ -384,8 +354,6 @@ class Quotient(FunctionExpr):
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         if len(den) > 1:
-            from .scanning import scan_grid
-
             dv = np.polynomial.polynomial.polyval(scan_grid(self.domain), den)
             with np.errstate(over="ignore"):
                 flips = np.any(dv[:-1] * dv[1:] < 0.0)
@@ -417,72 +385,38 @@ class Quotient(FunctionExpr):
                 "domain": self.domain.to_json()}
 
 
-# --- measure-form leaves ---------------------------------------------------------
+# --- measure-form leaf ------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MeasureOM(FunctionExpr):
-    rep: OMRep
-    kind = "measure_om"
+class MeasureForm(FunctionExpr):
+    """A discrete-measure form (OMRep, OCRep or SOCRep) as a leaf.  The real
+    channel checks the form's interval, so a Compose with this outer raises
+    DomainError when the inner value leaves it."""
+
+    rep: object
+
+    @property
+    def kind(self) -> str:
+        return "measure_" + self.rep.kind
 
     @property
     def domain(self) -> Interval:
         return self.rep.interval
 
     def _val(self, xs):
-        return np.asarray(eval_om(self.rep, xs))
+        return np.asarray(eval_form(self.rep, xs))
 
     def _cval(self, zs):
-        return np.asarray(eval_om_complex(self.rep, zs))
+        return np.asarray(form_sum(self.rep, zs))
 
     def _dval(self, xs):
-        return np.asarray(deriv_om(self.rep, xs))
+        return np.asarray(form_sum(self.rep, xs, deriv=True))
 
     def to_json(self):
-        return {"kind": "measure_om", **rep_to_json(self.rep)}
+        return {"kind": self.kind, **rep_to_json(self.rep)}
 
 
-@dataclass(frozen=True)
-class MeasureOC(FunctionExpr):
-    rep: OCRep
-    kind = "measure_oc"
-
-    @property
-    def domain(self) -> Interval:
-        return self.rep.interval
-
-    def _val(self, xs):
-        return np.asarray(eval_oc(self.rep, xs))
-
-    def _cval(self, zs):
-        return np.asarray(eval_oc_complex(self.rep, zs))
-
-    def _dval(self, xs):
-        return np.asarray(deriv_oc(self.rep, xs))
-
-    def to_json(self):
-        return {"kind": "measure_oc", **rep_to_json(self.rep)}
-
-
-@dataclass(frozen=True)
-class MeasureSOC(FunctionExpr):
-    rep: SOCRep
-    kind = "measure_soc"
-
-    @property
-    def domain(self) -> Interval:
-        return self.rep.interval
-
-    def _val(self, xs):
-        return np.asarray(eval_soc(self.rep, xs))
-
-    def _cval(self, zs):
-        return np.asarray(eval_soc_complex(self.rep, zs))
-
-    def _dval(self, xs):
-        return np.asarray(deriv_soc(self.rep, xs))
-
-    def to_json(self):
-        return {"kind": "measure_soc", **rep_to_json(self.rep)}
+MeasureOM = MeasureOC = MeasureSOC = MeasureForm
 
 
 # --- transforms -------------------------------------------------------------------
@@ -494,7 +428,9 @@ class DiffQuot(FunctionExpr):
     The center may be any point of the closure of the child's domain at which
     the child has a finite value or limit.  If x0 is an endpoint the result's
     domain excludes it; an interior x0 stays in the domain and the value there
-    is the child's derivative (the removable singularity is filled in).
+    is the child's derivative (the removable singularity is filled in).  So
+    is the value within 1e-8 * (1 + |x0|) of an interior x0, where
+    f(x) - f(x0) is mostly rounding.
     """
 
     child: FunctionExpr
@@ -527,9 +463,15 @@ class DiffQuot(FunctionExpr):
     def _center_deriv(self) -> float:
         return self.child.eval_deriv(self.x0)
 
+    @cached_property
+    def _center_band(self) -> float:
+        if self.child.domain.interior_contains(self.x0):
+            return 1e-8 * (1.0 + abs(self.x0))  # the band _dval uses
+        return 0.0
+
     def _val(self, xs):
         diff = xs - self.x0
-        at_center = diff == 0.0
+        at_center = np.abs(diff) <= self._center_band
         out = np.empty_like(xs)
         if np.any(~at_center):
             cv = self.child._val(xs[~at_center])
@@ -560,25 +502,12 @@ class DiffQuot(FunctionExpr):
 
 @dataclass(frozen=True)
 class NegRecip(FunctionExpr):
-    """-1/f.  Construction scans f on a 1001-point grid (with endpoint
-    limits) for the sign expected by ``positive_child`` and records the
-    outcome in ``scan_ok``; a failed scan flags the node, it does not raise."""
+    """-1/f.  The sign of f is not checked here: ``transforms.neg_reciprocal``
+    scans it before building the node."""
 
     child: FunctionExpr
     positive_child: bool = True
-    scan_ok: bool = field(init=False, compare=False, default=True)
-    scan_note: str = field(init=False, compare=False, repr=False, default="")
     kind = "negrecip"
-
-    def __post_init__(self):
-        check = check_positive if self.positive_child else check_negative
-        try:
-            check(self.child.eval_real, self.child.domain)
-            ok, note = True, ""
-        except (NotPositive, NotNegative, ZeroFunction) as err:
-            ok, note = False, str(err)
-        object.__setattr__(self, "scan_ok", ok)
-        object.__setattr__(self, "scan_note", note)
 
     @property
     def domain(self) -> Interval:
@@ -704,10 +633,6 @@ def from_json(d: dict) -> FunctionExpr:
         return MulLinear(from_json(d["child"]), d["x0"], d.get("c", 0.0))
     if kind == "compose":
         return Compose(from_json(d["outer"]), from_json(d["inner"]))
-    if kind == "measure_om":
-        return MeasureOM(rep_from_json(d, "om"))
-    if kind == "measure_oc":
-        return MeasureOC(rep_from_json(d, "oc"))
-    if kind == "measure_soc":
-        return MeasureSOC(rep_from_json(d, "soc"))
+    if kind in ("measure_om", "measure_oc", "measure_soc"):
+        return MeasureForm(rep_from_json(d, kind[len("measure_"):]))
     raise UnsupportedNode(f"unknown function kind {kind!r}")

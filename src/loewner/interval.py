@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EmptyDomain
 
 __all__ = ["Interval", "REAL_LINE"]
@@ -35,14 +37,22 @@ class Interval:
 
     # --- membership ---------------------------------------------------------
 
+    def mask(self, xs, snap: float = 0.0) -> np.ndarray:
+        """Elementwise membership of ``xs``; NaN is outside.  A closed
+        endpoint also admits points up to ``snap * (1 + |endpoint|)`` past it."""
+        xs = np.asarray(xs, dtype=float)
+        if self.lo_closed:
+            lo_ok = xs >= self.lo - snap * (1.0 + abs(self.lo))
+        else:
+            lo_ok = xs > self.lo
+        if self.hi_closed:
+            hi_ok = xs <= self.hi + snap * (1.0 + abs(self.hi))
+        else:
+            hi_ok = xs < self.hi
+        return lo_ok & hi_ok
+
     def contains(self, x: float) -> bool:
-        if x < self.lo or x > self.hi:
-            return False
-        if x == self.lo:
-            return self.lo_closed
-        if x == self.hi:
-            return self.hi_closed
-        return True
+        return bool(self.mask(x))
 
     def __contains__(self, x) -> bool:
         return self.contains(float(x))

@@ -8,15 +8,13 @@ cannot leak into eigenvalues.  Random objects draw from an explicit
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import SingularBlock, SpectrumOutsideDomain
 from .interval import Interval
 
 __all__ = [
-    "sym", "apply_fn", "psd_min_eig", "is_psd", "spectral_norm",
+    "sym", "apply_fn", "psd_min_eig", "min_eig_floor", "is_psd", "spectral_norm",
     "projection_basis", "complement_basis", "compress", "embed",
     "schur_complement", "haar_unitary", "rand_hermitian",
     "rand_ordered_pair", "rand_projection",
@@ -42,33 +40,30 @@ def psd_min_eig(m: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(sym(m))))
 
 
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """PSD up to the relative slack tol * (1 + ||m||)."""
+def min_eig_floor(m: np.ndarray, tol: float = 1e-9) -> tuple:
+    """(smallest eigenvalue of the Hermitian part, -tol * (1 + ||m||)): the
+    matrix counts as PSD when the first is not below the second."""
     eigs = np.linalg.eigvalsh(sym(m))
     scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return float(np.min(eigs)) >= -tol * (1.0 + scale)
+    return float(np.min(eigs)), -tol * (1.0 + scale)
 
 
-def _snap_into(eigs: np.ndarray, domain: Interval) -> np.ndarray:
-    """Snap eigenvalues that overshoot a closed endpoint by <= 1e-12 (rel)."""
-    out = eigs.copy()
-    if domain.lo_closed and math.isfinite(domain.lo):
-        near = (out < domain.lo) & (out >= domain.lo - ENDPOINT_SNAP * (1 + abs(domain.lo)))
-        out[near] = domain.lo
-    if domain.hi_closed and math.isfinite(domain.hi):
-        near = (out > domain.hi) & (out <= domain.hi + ENDPOINT_SNAP * (1 + abs(domain.hi)))
-        out[near] = domain.hi
-    return out
+def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
+    """PSD up to the relative slack tol * (1 + ||m||)."""
+    mn, floor = min_eig_floor(m, tol)
+    return mn >= floor
 
 
 def apply_fn(fn, h: np.ndarray) -> np.ndarray:
-    """f(h) by spectral calculus.  The spectrum must lie in f's domain,
-    after the closed-endpoint snap; otherwise SpectrumOutsideDomain."""
+    """f(h) by spectral calculus.  Eigenvalues that overshoot a closed
+    endpoint by at most 1e-12 (relative) snap onto it; any other eigenvalue
+    outside f's domain raises SpectrumOutsideDomain."""
     w, v = np.linalg.eigh(sym(h))
-    w = _snap_into(w, fn.domain)
-    for lam in w:
-        if not fn.domain.contains(float(lam)):
-            raise SpectrumOutsideDomain(float(lam), fn.domain)
+    dom = fn.domain
+    ok = dom.mask(w, snap=ENDPOINT_SNAP)
+    if not np.all(ok):
+        raise SpectrumOutsideDomain(float(w[~ok][0]), dom)
+    w = w.clip(dom.lo, dom.hi)
     vals = np.asarray(fn.eval_real(w), dtype=float)
     return sym((v * vals) @ v.conj().T)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .interval import Interval
 
 __all__ = [
     "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
-    "eval_om", "eval_oc", "eval_soc",
+    "form_sum", "eval_form", "eval_om", "eval_oc", "eval_soc",
     "om_to_soc", "extend_at_endpoint", "substitute_square",
     "recover_atom_weight", "EndpointExtension",
 ]
@@ -54,10 +55,10 @@ class DiscreteMeasure:
         if len(set(locs)) != len(locs):
             raise ValueError("atom locations must be distinct")
         for r, w in atoms:
+            if not (math.isfinite(r) and math.isfinite(w)):
+                raise ValueError(f"atom ({r}, {w}) is not finite")
             if w < 0:
                 raise ValueError(f"atom weight at r={r} is negative")
-            if not math.isfinite(r):
-                raise ValueError("atom location must be finite")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -90,6 +91,11 @@ def _split_sides(measure: DiscreteMeasure, interval: Interval):
     return DiscreteMeasure(plus), DiscreteMeasure(minus)
 
 
+def _signed_atoms(rep) -> tuple:
+    """Right atoms as they are, then left atoms with negated weight."""
+    return rep.mu_plus.atoms + tuple((r, -w) for r, w in rep.mu_minus.atoms)
+
+
 @dataclass(frozen=True)
 class OMRep:
     """Coefficient pack of the operator-monotone integral form."""
@@ -99,6 +105,7 @@ class OMRep:
     x0: float
     mu: DiscreteMeasure
     interval: Interval
+    kind = "om"
 
     def __post_init__(self):
         if self.a < 0:
@@ -107,8 +114,20 @@ class OMRep:
             raise ValueError(f"anchor x0={self.x0} must lie in {self.interval}")
         _require_outside(self.mu, self.interval, side=None)
 
+    @property
+    def signed_atoms(self) -> tuple:
+        return self.mu.atoms
+
+    def poly(self, x, deriv):
+        return np.full_like(x, self.a) if deriv else self.a * x + self.b
+
+    def term(self, r, w, x, deriv):
+        if deriv:
+            return w / (r - x) ** 2
+        return w * (1.0 / (r - x) - 1.0 / (r - self.x0))
+
     def __call__(self, x):
-        return eval_om(self, x)
+        return eval_form(self, x)
 
 
 @dataclass(frozen=True)
@@ -122,6 +141,7 @@ class OCRep:
     mu_plus: DiscreteMeasure
     mu_minus: DiscreteMeasure
     interval: Interval
+    kind = "oc"
 
     def __post_init__(self):
         if self.a < 0:
@@ -131,8 +151,22 @@ class OCRep:
         _require_outside(self.mu_plus, self.interval, side="+")
         _require_outside(self.mu_minus, self.interval, side="-")
 
+    signed_atoms = cached_property(_signed_atoms)
+
+    def poly(self, x, deriv):
+        if deriv:
+            return 2.0 * self.a * x + self.b
+        return self.a * x**2 + self.b * x + self.c
+
+    def term(self, r, w, x, deriv):
+        x0 = self.x0
+        if deriv:
+            num = 2.0 * (x - x0) * (r - x) + (x - x0) ** 2
+            return w * num / ((r - x) ** 2 * (r - x0) ** 2)
+        return w * (x - x0) ** 2 / ((r - x) * (r - x0) ** 2)
+
     def __call__(self, x):
-        return eval_oc(self, x)
+        return eval_form(self, x)
 
 
 @dataclass(frozen=True)
@@ -143,6 +177,7 @@ class SOCRep:
     mu_plus: DiscreteMeasure
     mu_minus: DiscreteMeasure
     interval: Interval
+    kind = "soc"
 
     def __post_init__(self):
         if self.a < 0:
@@ -150,116 +185,56 @@ class SOCRep:
         _require_outside(self.mu_plus, self.interval, side="+")
         _require_outside(self.mu_minus, self.interval, side="-")
 
+    signed_atoms = cached_property(_signed_atoms)
+
+    def poly(self, x, deriv):
+        return np.zeros_like(x) if deriv else np.full_like(x, self.a)
+
+    def term(self, r, w, x, deriv):
+        return w / (r - x) ** 2 if deriv else w / (r - x)
+
     def __call__(self, x):
-        return eval_soc(self, x)
+        return eval_form(self, x)
 
 
 # --- evaluation ---------------------------------------------------------------
 
-def _check_in(interval: Interval, x) -> np.ndarray:
+def form_sum(rep, x, deriv: bool = False):
+    """Polynomial part plus one term per signed atom of rep's form (or their
+    derivatives), over a real or complex array.  Left atoms of the convex and
+    strong forms carry negated weights: w/(x - r) == -w/(r - x) exactly in
+    IEEE arithmetic, so one loop covers both sides."""
+    out = rep.poly(x, deriv)
+    for r, w in rep.signed_atoms:
+        out = out + rep.term(r, w, x, deriv)
+    return out
+
+
+def eval_form(rep, x):
+    """Evaluate rep's form at x (scalar or array) inside its interval."""
     xs = np.asarray(x, dtype=float)
-    lo_ok = (xs > interval.lo) | ((xs == interval.lo) & interval.lo_closed)
-    hi_ok = (xs < interval.hi) | ((xs == interval.hi) & interval.hi_closed)
-    if not np.all(lo_ok & hi_ok):
-        bad = xs[~(lo_ok & hi_ok)].ravel()
-        raise DomainError(f"x={bad[0]!r} outside {interval}")
-    return xs
-
-
-def eval_om(rep: OMRep, x):
-    """Evaluate the monotone form at x (scalar or array) inside the interval."""
-    xs = _check_in(rep.interval, x)
-    out = rep.a * xs + rep.b
-    for r, w in rep.mu.atoms:
-        out = out + w * (1.0 / (r - xs) - 1.0 / (r - rep.x0))
+    ok = rep.interval.mask(xs)
+    if not np.all(ok):
+        raise DomainError(f"x={xs[~ok].ravel()[0]!r} outside {rep.interval}")
+    out = form_sum(rep, xs)
     return out if np.ndim(x) else float(out)
 
 
-def eval_soc(rep: SOCRep, x):
-    """Evaluate the strong form at x; strictly positive when any mass present."""
-    xs = _check_in(rep.interval, x)
-    out = np.full_like(xs, rep.a, dtype=float)
-    for r, w in rep.mu_plus.atoms:
-        out = out + w / (r - xs)
-    for r, w in rep.mu_minus.atoms:
-        out = out + w / (xs - r)
-    return out if np.ndim(x) else float(out)
-
-
-def eval_oc(rep: OCRep, x):
-    """Evaluate the convex form at x inside the interval."""
-    xs = _check_in(rep.interval, x)
-    x0 = rep.x0
-    out = rep.a * xs**2 + rep.b * xs + rep.c
-    for r, w in rep.mu_plus.atoms:
-        out = out + w * (xs - x0) ** 2 / ((r - xs) * (r - x0) ** 2)
-    for r, w in rep.mu_minus.atoms:
-        out = out + w * (xs - x0) ** 2 / ((xs - r) * (x0 - r) ** 2)
-    return out if np.ndim(x) else float(out)
-
-
-# --- complex evaluation (used by the expression-tree wrappers) -----------------
-
-def eval_om_complex(rep: OMRep, z):
-    zs = np.asarray(z, dtype=complex)
-    out = rep.a * zs + rep.b
-    for r, w in rep.mu.atoms:
-        out = out + w * (1.0 / (r - zs) - 1.0 / (r - rep.x0))
+def eval_form_complex(rep, z):
+    """The form's holomorphic extension at z (scalar or array)."""
+    out = form_sum(rep, np.asarray(z, dtype=complex))
     return out if np.ndim(z) else complex(out)
 
 
-def eval_soc_complex(rep: SOCRep, z):
-    zs = np.asarray(z, dtype=complex)
-    out = np.full_like(zs, rep.a, dtype=complex)
-    for r, w in rep.mu_plus.atoms:
-        out = out + w / (r - zs)
-    for r, w in rep.mu_minus.atoms:
-        out = out + w / (zs - r)
-    return out if np.ndim(z) else complex(out)
-
-
-def eval_oc_complex(rep: OCRep, z):
-    zs = np.asarray(z, dtype=complex)
-    x0 = rep.x0
-    out = rep.a * zs**2 + rep.b * zs + rep.c
-    for r, w in rep.mu_plus.atoms:
-        out = out + w * (zs - x0) ** 2 / ((r - zs) * (r - x0) ** 2)
-    for r, w in rep.mu_minus.atoms:
-        out = out + w * (zs - x0) ** 2 / ((zs - r) * (x0 - r) ** 2)
-    return out if np.ndim(z) else complex(out)
-
-
-# --- derivatives ----------------------------------------------------------------
-
-def deriv_om(rep: OMRep, x):
-    xs = np.asarray(x, dtype=float)
-    out = np.full_like(xs, rep.a, dtype=float)
-    for r, w in rep.mu.atoms:
-        out = out + w / (r - xs) ** 2
+def deriv_form(rep, x):
+    """First derivative of the form at x (scalar or array)."""
+    out = form_sum(rep, np.asarray(x, dtype=float), deriv=True)
     return out if np.ndim(x) else float(out)
 
 
-def deriv_soc(rep: SOCRep, x):
-    xs = np.asarray(x, dtype=float)
-    out = np.zeros_like(xs, dtype=float)
-    for r, w in rep.mu_plus.atoms:
-        out = out + w / (r - xs) ** 2
-    for r, w in rep.mu_minus.atoms:
-        out = out - w / (xs - r) ** 2
-    return out if np.ndim(x) else float(out)
-
-
-def deriv_oc(rep: OCRep, x):
-    xs = np.asarray(x, dtype=float)
-    x0 = rep.x0
-    out = 2.0 * rep.a * xs + rep.b
-    for r, w in rep.mu_plus.atoms:
-        num = 2.0 * (xs - x0) * (r - xs) + (xs - x0) ** 2
-        out = out + w * num / ((r - xs) ** 2 * (r - x0) ** 2)
-    for r, w in rep.mu_minus.atoms:
-        num = 2.0 * (xs - x0) * (xs - r) - (xs - x0) ** 2
-        out = out + w * num / ((xs - r) ** 2 * (x0 - r) ** 2)
-    return out if np.ndim(x) else float(out)
+eval_om = eval_oc = eval_soc = eval_form
+eval_om_complex = eval_oc_complex = eval_soc_complex = eval_form_complex
+deriv_om = deriv_oc = deriv_soc = deriv_form
 
 
 # --- transforms -------------------------------------------------------------------
@@ -327,9 +302,9 @@ def extend_at_endpoint(rep: SOCRep, b: float) -> tuple[EndpointExtension, float]
     else:
         quotient = SOCRep(a=rep.a, mu_plus=rep.mu_plus,
                           mu_minus=DiscreteMeasure(stripped), interval=iv)
-    from .funexpr import MeasureSOC, MulLinear  # deferred: funexpr imports this module
+    from .funexpr import MeasureForm, MulLinear  # deferred: funexpr imports this module
 
-    expr = MulLinear(MeasureSOC(rep), x0=b, c=0.0)
+    expr = MulLinear(MeasureForm(rep), x0=b, c=0.0)
     ext = EndpointExtension(expr=expr, b=b, delta=delta, value_at_b=value_at_b,
                             rep=rep, quotient_rep=quotient)
     return ext, delta

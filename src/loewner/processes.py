@@ -17,6 +17,7 @@ rational seed drops by one per full cycle, so this is the generic end).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -138,20 +139,13 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
         raise ValueError("need at least one anchor point")
     if cycles is None:
         cycles = max(1, math.ceil(len(points) / 2))
-
-    consumed = 0
-
-    def next_point() -> float:
-        nonlocal consumed
-        p = points[consumed % len(points)]
-        consumed += 1
-        return p
+    anchors = itertools.cycle(points)
 
     stages = [_certify(PipelineStage(0, "OM", f0), certify, config)]
     status = "completed"
     idx = 0
     for _ in range(cycles):
-        p = next_point()
+        p = next(anchors)
         idx += 1
         soc = PipelineStage(idx, "SOC", diff_quotient(stages[-1].expr, p), point=p)
         if _is_zero_stage(soc.expr):
@@ -164,7 +158,7 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
         oc = PipelineStage(idx, "OC", neg_reciprocal(soc.expr, positive=True))
         stages.append(_certify(oc, certify, config))
 
-        p = next_point()
+        p = next(anchors)
         idx += 1
         om = PipelineStage(idx, "OM", diff_quotient(oc.expr, p), point=p)
         stages.append(_certify(om, certify, config))
@@ -177,7 +171,7 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
             if rat.is_zero:
                 # the next difference quotient is identically zero whatever
                 # the anchor; surface the zero in SOC position and stop
-                p = next_point()
+                p = next(anchors)
                 idx += 1
                 zero = PipelineStage(idx, "SOC",
                                      diff_quotient(om.expr, p), point=p)

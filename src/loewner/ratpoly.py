@@ -191,38 +191,30 @@ def as_rational(fn) -> RationalFunction:
         return as_rational(fn.child).negrecip()
     if isinstance(fn, fe.MulLinear):
         return as_rational(fn.child).mullinear(fn.x0, fn.c)
-    if isinstance(fn, fe.MeasureOM):
-        rep = fn.rep
-        out = RationalFunction((_frac(rep.b), _frac(rep.a)))
-        for r, w in rep.mu.atoms:
-            r, w = _frac(r), _frac(w)
-            atom = RationalFunction((w,), (r, Fraction(-1)))  # w/(r-x)
-            shift = RationalFunction((-w / (r - _frac(rep.x0)),))
-            out = _radd(out, _radd(atom, shift))
-        return out
-    if isinstance(fn, fe.MeasureSOC):
-        rep = fn.rep
-        out = RationalFunction((_frac(rep.a),))
-        for r, w in rep.mu_plus.atoms:
-            out = _radd(out, RationalFunction((_frac(w),), (_frac(r), Fraction(-1))))
-        for r, w in rep.mu_minus.atoms:
-            out = _radd(out, RationalFunction((_frac(w),), (-_frac(r), Fraction(1))))
-        return out
-    if isinstance(fn, fe.MeasureOC):
-        rep = fn.rep
-        x0 = _frac(rep.x0)
-        out = RationalFunction((_frac(rep.c), _frac(rep.b), _frac(rep.a)))
-        sq = (x0 * x0, -2 * x0, Fraction(1))  # (x - x0)^2
-        for r, w in rep.mu_plus.atoms:
-            r, w = _frac(r), _frac(w)
-            den = _pmul((r, Fraction(-1)), ((r - x0) ** 2,))
-            out = _radd(out, RationalFunction(_pmul((w,), sq), den))
-        for r, w in rep.mu_minus.atoms:
-            r, w = _frac(r), _frac(w)
-            den = _pmul((-r, Fraction(1)), ((x0 - r) ** 2,))
-            out = _radd(out, RationalFunction(_pmul((w,), sq), den))
-        return out
+    if isinstance(fn, fe.MeasureForm):
+        return _form_rational(fn.rep)
     raise NotRational(f"{type(fn).__name__} node is not rational")
+
+
+def _form_rational(rep) -> RationalFunction:
+    """Polynomial part plus w (x - x0)^k / ((r - x)(r - x0)^k) per signed atom,
+    with k = 1, 2, 0 for the monotone, convex and strong forms."""
+    if rep.kind == "om":
+        coeffs, k = (rep.b, rep.a), 1
+    elif rep.kind == "oc":
+        coeffs, k = (rep.c, rep.b, rep.a), 2
+    else:
+        coeffs, k = (rep.a,), 0
+    x0 = _frac(getattr(rep, "x0", 0.0))
+    lift = (Fraction(1),)
+    for _ in range(k):
+        lift = _pmul(lift, (-x0, Fraction(1)))  # (x - x0)^k
+    out = RationalFunction(tuple(map(_frac, coeffs)))
+    for r, w in rep.signed_atoms:
+        r = _frac(r)
+        scale = (r - x0) ** k
+        out = _radd(out, RationalFunction(_pmul((_frac(w),), lift), (r * scale, -scale)))
+    return out
 
 
 def _radd(f: RationalFunction, g: RationalFunction) -> RationalFunction:

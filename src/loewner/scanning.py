@@ -79,7 +79,7 @@ def is_zero_on_grid(fn, domain: Interval, tol: float = ZERO_TOL) -> bool:
     return bool(np.all(np.abs(vals) <= tol))
 
 
-def check_positive(fn, domain: Interval, reject_zero: bool = True) -> None:
+def check_positive(fn, domain: Interval) -> None:
     """Positivity scan backing the negative-reciprocal transform.
 
     Requires fn > 0 at every grid point; at finite open endpoints only the
@@ -87,7 +87,7 @@ def check_positive(fn, domain: Interval, reject_zero: bool = True) -> None:
     when the function vanishes identically, NotPositive otherwise.
     """
     xs, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
-    if reject_zero and np.all(np.abs(vals) <= ZERO_TOL):
+    if np.all(np.abs(vals) <= ZERO_TOL):
         raise ZeroFunction("function is identically zero on the scan grid")
     bad = np.flatnonzero(vals <= 0.0)
     if bad.size:

@@ -3,7 +3,7 @@
 The raw expression nodes (funexpr) only validate what is structurally
 necessary; this layer adds the mathematical side conditions:
 
-* ``neg_reciprocal``  raises when the sign scan fails instead of flagging,
+* ``neg_reciprocal``  scans the sign of f and raises when it fails,
 * ``choose_shift``    picks a constant making f(x)(x - x0) + c negative,
 * ``compose_checked`` verifies the outer-monotone composition hypotheses
                       statistically before handing back the composite.
@@ -134,15 +134,9 @@ def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,
                                  f"0 neither in {odom} nor its left endpoint")
 
     vals = np.asarray(inner.eval_real(scan_grid(inner.domain)), dtype=float)
-    snap = 1e-12
-    lo_ok = (vals > odom.lo) | (odom.lo_closed
-                                & (vals >= odom.lo - snap * (1 + abs(odom.lo))))
-    hi_ok = (vals < odom.hi) | (odom.hi_closed
-                                & (vals <= odom.hi + snap * (1 + abs(odom.hi))))
-    if not np.all(lo_ok & hi_ok):
-        bad = vals[~(lo_ok & hi_ok)].ravel()[0]
-        raise HypothesisViolated("range",
-                                 f"inner value {bad} escapes {odom}")
+    ok = odom.mask(vals, snap=1e-12)
+    if not np.all(ok):
+        raise HypothesisViolated("range", f"inner value {vals[~ok][0]} escapes {odom}")
 
     hyp["inner_strong"] = check_strong(inner, config)
     if hyp["inner_strong"].verdict != "pass":

@@ -253,6 +253,24 @@ def test_measure_unknown_op_is_eval_error(tmp_path):
     assert main(["measure", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_classify_with_nan_anchor_is_eval_error(tmp_path):
+    rep = {"a": 1.0, "b": 0.0, "x0": float("nan"), "atoms_plus": [[2.0, 1.0]],
+           "interval": {"lo": 0.0, "hi": 1.0}}
+    # json.dumps writes the NaN literal, which json.loads reads back
+    spec = write_spec(tmp_path, {"function": {"kind": "measure_om", **rep},
+                                 "config": FAST})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+
+
+def test_measure_with_nan_weight_is_eval_error(tmp_path):
+    rep = {"a": 0.5, "atoms_plus": [[2.0, float("nan")]],
+           "interval": {"lo": 0.0, "hi": 1.0}}
+    spec = write_spec(tmp_path, {"kind": "soc", "measure": rep})
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", spec, "--out", str(out)]) == 3
+    assert not (out / "values.csv").exists()
+
+
 # --- report ------------------------------------------------------------------------
 
 def test_report_replays_witnesses(tmp_path):

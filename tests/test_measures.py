@@ -240,3 +240,16 @@ def test_recover_rejects_window_touching_the_atom_grid_edge():
                 mu=DiscreteMeasure(((2.0, 1.0),)), interval=Interval(0.0, 1.0))
     with pytest.raises(WindowContainsPole):
         recover_atom_weight(MeasureOM(rep), 2.0, (1.999, 3.0))
+
+
+@pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+def test_atoms_reject_non_finite_weights(weight):
+    with pytest.raises(ValueError):
+        DiscreteMeasure(((2.0, weight),))
+
+
+def test_om_rep_rejects_nan_anchor():
+    assert not Interval(0.0, 1.0, True, True).contains(float("nan"))
+    with pytest.raises(ValueError):
+        OMRep(a=1.0, b=0.0, x0=float("nan"), mu=DiscreteMeasure(((2.0, 1.0),)),
+              interval=Interval(0.0, 1.0, True, True))

@@ -170,3 +170,17 @@ def test_compose_result_serializes():
     assert d["certificate"]["verdict"] == "pass"
     assert d["function"]["kind"] == "compose"
     assert set(d["hypotheses"]) == {"outer_monotone", "outer_loewner", "inner_strong"}
+
+
+def test_neg_reciprocal_of_a_quotient_with_a_grid_point_next_to_the_anchor():
+    # the anchor 0.3 * 1.5 lies within rounding of a scan-grid point, where
+    # f(x) == f(x0) exactly; the quotient must take the derivative there
+    rep = OMRep(a=0.0, b=0.0, x0=0.75, mu=DiscreteMeasure(((2.5, 1.0),)),
+                interval=Interval(0.0, 1.5, True, True))
+    f = MeasureOM(rep)
+    x0 = 0.3 * 1.5
+    q = diff_quotient(f, x0)
+    g = neg_reciprocal(q)
+    near = np.nextafter(x0, 1.0)
+    assert q.eval_real(near) == q.eval_real(x0) == f.eval_deriv(x0)
+    assert g.eval_real(near) < 0.0
