@@ -19,7 +19,7 @@ Checks:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,12 +33,13 @@ from .matcalc import (
     matrix_from_json,
     matrix_to_json,
     min_eig_floor,
+    projection_basis,
     psd_min_eig,
     rand_hermitian,
     rand_ordered_pair,
     sym,
 )
-from .scanning import check_positive, is_zero_on_grid
+from .scanning import check_positive
 
 __all__ = [
     "Certificate", "CertifyConfig", "GridConfig",
@@ -60,6 +61,13 @@ class CertifyConfig:
     dims: tuple = (2, 3, 4, 5, 6, 7, 8)
     tol: float = 1e-9
     seed: int = 0
+
+    def __post_init__(self):
+        # trials < 0 or a NaN/inf tol passes anything; tol < 0 fails PSD matrices
+        if (not self.dims or min(self.dims) < 2 or self.trials < 0
+                or not 0.0 <= self.tol < np.inf):
+            raise ValueError(f"need dims of sizes >= 2, trials >= 0 and a finite "
+                             f"tol >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -99,31 +107,68 @@ class Certificate:
                            detail=d.get("detail", ""))
 
 
-def _trial_rng(seed: int, trial: int) -> np.random.Generator:
-    return np.random.default_rng([seed, trial])
-
-
 def _dim(config: CertifyConfig, trial: int) -> int:
     return config.dims[trial % len(config.dims)]
+
+
+def _search(prop: str, config: CertifyConfig, count: int, probes) -> Certificate:
+    """Run trials 0..count-1, each on its own stream default_rng([seed, trial]).
+
+    ``probes(trial, rng)`` yields (matrix that must be PSD, witness fields);
+    the first matrix below its floor ends the search with a fail certificate
+    whose witness holds the fields (matrices in JSON form), the trial index
+    and the minimum eigenvalue.
+    """
+    for trial in range(count):
+        rng = np.random.default_rng([config.seed, trial])
+        for gap, fields in probes(trial, rng):
+            mn, floor = min_eig_floor(gap, config.tol)
+            if mn < floor:
+                witness = {"check": fields.pop("check"), "trial": trial}
+                witness.update((k, matrix_to_json(v) if isinstance(v, np.ndarray)
+                                else v) for k, v in fields.items())
+                witness["min_eig"] = mn
+                return Certificate(prop, "fail", trial + 1, config.tol,
+                                   config.seed, witness)
+    return Certificate(prop, "pass", count, config.tol, config.seed)
+
+
+# --- the inequalities: each returns the matrix that must be PSD ------------------
+
+def _monotone_gap(fn, h1, h2) -> np.ndarray:
+    """f(h2) - f(h1) for h1 <= h2."""
+    return apply_fn(fn, h2) - apply_fn(fn, h1)
+
+
+def _jensen_gap(fn, h1, h2, f1, f2, t: float) -> np.ndarray:
+    """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2), given f1 = f(h1), f2 = f(h2)."""
+    mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
+    return t * f1 + (1.0 - t) * f2 - mix
+
+
+def _davis_gap(fn, h, v) -> np.ndarray:
+    """V*f(h)V - f(V*hV) for an isometry V."""
+    corner = apply_fn(fn, compress(h, v))
+    return compress(apply_fn(fn, h), v) - corner
+
+
+def _strong_gap(fn, h, v) -> np.ndarray:
+    """f(h) - V f(V*hV) V* for an isometry V."""
+    corner = apply_fn(fn, compress(h, v))
+    return apply_fn(fn, h) - embed(corner, v)
 
 
 # --- monotonicity -----------------------------------------------------------------
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
+    def probes(trial, rng):
         n = _dim(config, trial)
         h1, h2 = rand_ordered_pair(rng, n, fn.domain, CLIP_LEN)
-        mn, floor = min_eig_floor(apply_fn(fn, h2) - apply_fn(fn, h1), config.tol)
-        if mn < floor:
-            witness = {"check": "monotone", "trial": trial, "dim": n,
-                       "h1": matrix_to_json(h1), "h2": matrix_to_json(h2),
-                       "min_eig": mn}
-            return Certificate("operator_monotone", "fail", trial + 1,
-                               config.tol, config.seed, witness)
-    return Certificate("operator_monotone", "pass", config.trials,
-                       config.tol, config.seed)
+        yield (_monotone_gap(fn, h1, h2),
+               {"check": "monotone", "dim": n, "h1": h1, "h2": h2})
+
+    return _search("operator_monotone", config, config.trials, probes)
 
 
 # --- convexity -------------------------------------------------------------------
@@ -135,34 +180,20 @@ def _rand_isometry(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
+    def probes(trial, rng):
         n = _dim(config, trial)
         h1 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         h2 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         f1, f2 = apply_fn(fn, h1), apply_fn(fn, h2)
-        ts = [0.5] + [float(t) for t in rng.uniform(0.0, 1.0, T_DRAWS)]
-        for t in ts:
-            mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
-            mn, floor = min_eig_floor(t * f1 + (1.0 - t) * f2 - mix, config.tol)
-            if mn < floor:
-                witness = {"check": "jensen", "trial": trial, "dim": n, "t": t,
-                           "h1": matrix_to_json(h1), "h2": matrix_to_json(h2),
-                           "min_eig": mn}
-                return Certificate("operator_convex", "fail", trial + 1,
-                                   config.tol, config.seed, witness)
+        for t in [0.5] + [float(t) for t in rng.uniform(0.0, 1.0, T_DRAWS)]:
+            yield (_jensen_gap(fn, h1, h2, f1, f2, t),
+                   {"check": "jensen", "dim": n, "t": t, "h1": h1, "h2": h2})
         h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
         v = _rand_isometry(rng, n)
-        corner = apply_fn(fn, compress(h, v))
-        mn, floor = min_eig_floor(compress(apply_fn(fn, h), v) - corner, config.tol)
-        if mn < floor:
-            witness = {"check": "davis", "trial": trial, "dim": n,
-                       "h1": matrix_to_json(h),
-                       "p": matrix_to_json(v @ v.conj().T), "min_eig": mn}
-            return Certificate("operator_convex", "fail", trial + 1,
-                               config.tol, config.seed, witness)
-    return Certificate("operator_convex", "pass", config.trials,
-                       config.tol, config.seed)
+        yield (_davis_gap(fn, h, v),
+               {"check": "davis", "dim": n, "h1": h, "p": v @ v.conj().T})
+
+    return _search("operator_convex", config, config.trials, probes)
 
 
 # --- strong convexity --------------------------------------------------------------
@@ -175,54 +206,37 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     disagreement is reported as "inconclusive" rather than picking a side.
     """
     prop = "strongly_operator_convex"
-    if is_zero_on_grid(fn.eval_real, fn.domain):
-        return Certificate(prop, "pass", 0, config.tol, config.seed,
-                           detail="identically zero on the scan grid")
-
-    direct_witness = None
-    for trial in range(config.trials):
-        rng = _trial_rng(config.seed, trial)
-        n = _dim(config, trial)
-        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
-        v = _rand_isometry(rng, n)
-        corner = apply_fn(fn, compress(h, v))
-        mn, floor = min_eig_floor(apply_fn(fn, h) - embed(corner, v), config.tol)
-        if mn < floor:
-            direct_witness = {"check": "strong", "trial": trial, "dim": n,
-                              "h1": matrix_to_json(h),
-                              "p": matrix_to_json(v @ v.conj().T), "min_eig": mn}
-            break
-    direct_fail = direct_witness is not None
-    trials_run = (direct_witness["trial"] + 1) if direct_fail else config.trials
-
     try:
         check_positive(fn.eval_real, fn.domain)
         positive = True
-    except (NotPositive, ZeroFunction):
+    except ZeroFunction:
+        return Certificate(prop, "pass", 0, config.tol, config.seed,
+                           detail="identically zero on the scan grid")
+    except NotPositive:
         positive = False
 
-    if not positive:
-        if direct_fail:
-            return Certificate(prop, "fail", trials_run, config.tol,
-                               config.seed, direct_witness)
-        return Certificate(prop, "inconclusive", trials_run, config.tol,
-                           config.seed,
-                           detail="not strictly positive on the scan grid, "
-                                  "yet no inequality violation was found")
+    def probes(trial, rng):
+        n = _dim(config, trial)
+        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
+        v = _rand_isometry(rng, n)
+        yield (_strong_gap(fn, h, v),
+               {"check": "strong", "dim": n, "h1": h, "p": v @ v.conj().T})
 
-    recip_cert = check_convex(NegRecip(fn), config)
-    recip_fail = recip_cert.verdict == "fail"
-    if direct_fail and recip_fail:
-        return Certificate(prop, "fail", trials_run, config.tol, config.seed,
-                           direct_witness, detail="confirmed via -1/f route")
-    if not direct_fail and not recip_fail:
-        return Certificate(prop, "pass", config.trials, config.tol, config.seed,
-                           detail="confirmed via -1/f route")
-    routes = ("direct fail" if direct_fail else "direct pass",
-              "-1/f fail" if recip_fail else "-1/f pass")
-    return Certificate(prop, "inconclusive", trials_run, config.tol, config.seed,
-                       witness=direct_witness if direct_fail else recip_cert.witness,
-                       detail=f"routes disagree: {routes[0]}, {routes[1]}")
+    direct = _search(prop, config, config.trials, probes)
+    if not positive:
+        if direct.verdict == "fail":
+            return direct
+        return replace(direct, verdict="inconclusive",
+                       detail="not strictly positive on the scan grid, "
+                              "yet no inequality violation was found")
+
+    recip = check_convex(NegRecip(fn), config)
+    if direct.verdict == recip.verdict:
+        return replace(direct, detail="confirmed via -1/f route")
+    return replace(direct, verdict="inconclusive",
+                   witness=direct.witness or recip.witness,
+                   detail=f"routes disagree: direct {direct.verdict}, "
+                          f"-1/f {recip.verdict}")
 
 
 # --- divided-difference matrices ----------------------------------------------------
@@ -252,22 +266,18 @@ def _node_window(fn) -> tuple:
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
     lo, hi = _node_window(fn)
-    for i in range(LOEWNER_SETS):
-        rng = _trial_rng(config.seed, i)
-        size = LOEWNER_SIZES[i % len(LOEWNER_SIZES)]
+
+    def probes(trial, rng):
+        size = LOEWNER_SIZES[trial % len(LOEWNER_SIZES)]
         nodes = rng.uniform(lo, hi, size=size)
         for _ in range(100):
             if len(np.unique(nodes)) == size:
                 break
             nodes = rng.uniform(lo, hi, size=size)
-        mn, floor = min_eig_floor(loewner_matrix(fn, nodes), config.tol)
-        if mn < floor:
-            witness = {"check": "loewner", "trial": i,
-                       "nodes": [float(x) for x in sorted(nodes)], "min_eig": mn}
-            return Certificate("loewner_order", "fail", i + 1,
-                               config.tol, config.seed, witness)
-    return Certificate("loewner_order", "pass", LOEWNER_SETS,
-                       config.tol, config.seed)
+        yield (loewner_matrix(fn, nodes),
+               {"check": "loewner", "nodes": [float(x) for x in sorted(nodes)]})
+
+    return _search("loewner_order", config, LOEWNER_SETS, probes)
 
 
 # --- upper half-plane ----------------------------------------------------------------
@@ -290,7 +300,6 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig(),
     imv = np.asarray(vals).imag
     total = imv.size + len(grid.extra_points)
 
-    worst = None  # (im_value, z)
     flat = np.argmin(imv)
     worst = (float(imv.ravel()[flat]), complex(zs.ravel()[flat]))
     for z in grid.extra_points:
@@ -356,32 +365,18 @@ def replay_witness(fn, cert: Certificate) -> float:
     if not w:
         raise ValueError("certificate carries no witness")
     kind = w.get("check")
-    if kind == "monotone":
-        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
-        return psd_min_eig(apply_fn(fn, h2) - apply_fn(fn, h1))
-    if kind == "jensen":
-        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
-        t = w["t"]
-        mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
-        diff = t * apply_fn(fn, h1) + (1.0 - t) * apply_fn(fn, h2) - mix
-        return psd_min_eig(diff)
-    if kind == "davis":
-        from .matcalc import projection_basis
-
-        h, p = matrix_from_json(w["h1"]), matrix_from_json(w["p"])
-        v = projection_basis(p)
-        diff = compress(apply_fn(fn, h), v) - apply_fn(fn, compress(h, v))
-        return psd_min_eig(diff)
-    if kind == "strong":
-        from .matcalc import projection_basis
-
-        h, p = matrix_from_json(w["h1"]), matrix_from_json(w["p"])
-        v = projection_basis(p)
-        diff = apply_fn(fn, h) - embed(apply_fn(fn, compress(h, v)), v)
-        return psd_min_eig(diff)
-    if kind == "loewner":
-        return psd_min_eig(loewner_matrix(fn, w["nodes"]))
     if kind == "halfplane":
-        z = complex(w["z"][0], w["z"][1])
-        return fn.eval_complex(z).imag
-    raise ValueError(f"unknown witness check {kind!r}")
+        return fn.eval_complex(complex(w["z"][0], w["z"][1])).imag
+    if kind == "loewner":
+        gap = loewner_matrix(fn, w["nodes"])
+    elif kind == "monotone":
+        gap = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))
+    elif kind == "jensen":
+        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
+        gap = _jensen_gap(fn, h1, h2, apply_fn(fn, h1), apply_fn(fn, h2), w["t"])
+    elif kind in ("davis", "strong"):
+        h, v = matrix_from_json(w["h1"]), projection_basis(matrix_from_json(w["p"]))
+        gap = (_davis_gap if kind == "davis" else _strong_gap)(fn, h, v)
+    else:
+        raise ValueError(f"unknown witness check {kind!r}")
+    return psd_min_eig(gap)

@@ -96,6 +96,19 @@ def _function_from(spec: dict, key: str = "function"):
         raise _CliFailure(EVAL_ERROR, f"bad function JSON: {err}") from err
 
 
+def _value(d: dict, key: str, parse, required: bool = False):
+    """d[key] read through ``parse``, or None when absent; a value that does
+    not parse, or a required one that is absent, is a validation error."""
+    if d.get(key) is None:
+        if required:
+            raise _CliFailure(EVAL_ERROR, f"spec is missing {key!r}")
+        return None
+    try:
+        return parse(d[key])
+    except (KeyError, TypeError, ValueError) as err:
+        raise _CliFailure(EVAL_ERROR, f"bad {key!r} value {d[key]!r}: {err}") from err
+
+
 def _parse_dims(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
@@ -103,40 +116,37 @@ def _parse_dims(text: str) -> tuple:
         dims = tuple(range(int(lo), int(hi) + 1))
     else:
         dims = tuple(int(t) for t in text.split(","))
-    if not dims or any(d < 1 for d in dims):
+    if not dims or any(d < 2 for d in dims):
         raise ValueError(f"bad dims {text!r}")
     return dims
 
 
 def _config_from(spec: dict, args) -> _classify.CertifyConfig:
-    cfg = dict(spec.get("config", {}))
-    seed = 0
-    if "seed" in cfg:
-        seed = int(cfg["seed"])
+    cfg = _value(spec, "config", dict) or {}
+    kwargs = {"seed": _value(cfg, "seed", int), "trials": _value(cfg, "trials", int),
+              "dims": _value(cfg, "dims", lambda ds: tuple(int(d) for d in ds)),
+              "tol": _value(cfg, "tol", float)}
     env = os.environ.get("LOEWNER_SEED")
     if env is not None:
         try:
-            seed = int(env)
+            kwargs["seed"] = int(env)
         except ValueError as err:
             raise _CliFailure(PARSE_ERROR,
                               f"LOEWNER_SEED is not an integer: {env!r}") from err
     if args.seed is not None:
-        seed = args.seed
-    kwargs = {"seed": seed}
-    if "trials" in cfg:
-        kwargs["trials"] = int(cfg["trials"])
+        kwargs["seed"] = args.seed
     if args.trials is not None:
         kwargs["trials"] = args.trials
-    if "dims" in cfg:
-        kwargs["dims"] = tuple(int(d) for d in cfg["dims"])
     if args.dims is not None:
         try:
             kwargs["dims"] = _parse_dims(args.dims)
         except ValueError as err:
             raise _CliFailure(PARSE_ERROR, str(err)) from err
-    if "tol" in cfg:
-        kwargs["tol"] = float(cfg["tol"])
-    return _classify.CertifyConfig(**kwargs)
+    try:
+        return _classify.CertifyConfig(
+            **{k: v for k, v in kwargs.items() if v is not None})
+    except ValueError as err:
+        raise _CliFailure(EVAL_ERROR, f"bad config: {err}") from err
 
 
 # --- subcommands ----------------------------------------------------------------------
@@ -164,19 +174,22 @@ def _cmd_pipeline(args) -> int:
     fn = _function_from(spec)
     config = _config_from(spec, args)
     process = spec.get("process", "main")
-    points = spec.get("points")
+    points = _value(spec, "points", lambda ps: tuple(map(float, ps)))
     if not points:
         raise _CliFailure(EVAL_ERROR, "spec is missing 'points'")
+    cycles = _value(spec, "cycles", int)
+    steps = _value(spec, "steps", int)
+    shifts = _value(spec, "shifts",
+                    lambda cs: [None if c is None else float(c) for c in cs])
     certify = bool(spec.get("certify", False)) or args.certify
     if process == "main":
-        run = processes.main_cycle(fn, points, cycles=spec.get("cycles"),
+        run = processes.main_cycle(fn, points, cycles=cycles,
                                    certify=certify, config=config)
     elif process == "star":
-        run = processes.star_process(fn, points, steps=spec.get("steps"),
+        run = processes.star_process(fn, points, steps=steps,
                                      certify=certify, config=config)
     elif process == "backward":
-        run = processes.backward_process(fn, points, shifts=spec.get("shifts"),
-                                         cycles=spec.get("cycles"),
+        run = processes.backward_process(fn, points, shifts=shifts, cycles=cycles,
                                          certify=certify, config=config)
     else:
         raise _CliFailure(EVAL_ERROR, f"unknown process {process!r}")
@@ -194,25 +207,31 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
+# the representation kind each measure op takes ("recover" takes any)
+_OP_KINDS = {"om_to_soc": "om", "extend": "soc", "substitute_square": "oc"}
+
+
 def _cmd_measure(args) -> int:
     spec = _load_spec(args.spec)
     kind = spec.get("kind")
     if kind not in ("om", "oc", "soc"):
         raise _CliFailure(EVAL_ERROR, f"measure kind must be om/oc/soc, got {kind!r}")
-    try:
-        rep = measures.rep_from_json(spec["measure"], kind)
-    except (KeyError, TypeError, ValueError) as err:
-        raise _CliFailure(EVAL_ERROR, f"bad measure: {err}") from err
+    rep = _value(spec, "measure", lambda m: measures.rep_from_json(m, kind), True)
 
-    transform = spec.get("transform")
+    transform = _value(spec, "transform", dict)
     out = {"kind_in": kind, "input": measures.rep_to_json(rep)}
     out_rep = rep
     if transform:
         op = transform.get("op")
+        takes = _OP_KINDS.get(op, kind)
+        if takes != kind:
+            raise _CliFailure(EVAL_ERROR, f"measure op {op!r} takes a {takes!r} "
+                                          f"representation, got {kind!r}")
         if op == "om_to_soc":
-            out_rep = measures.om_to_soc(rep, float(transform["x0"]))
+            out_rep = measures.om_to_soc(rep, _value(transform, "x0", float, True))
         elif op == "extend":
-            ext, delta = measures.extend_at_endpoint(rep, float(transform["b"]))
+            ext, delta = measures.extend_at_endpoint(
+                rep, _value(transform, "b", float, True))
             xs = _sample_grid(rep.interval)
             out["extension"] = {
                 "b": ext.b, "delta": delta, "value_at_b": ext.value_at_b,
@@ -222,11 +241,13 @@ def _cmd_measure(args) -> int:
         elif op == "substitute_square":
             out_rep = measures.substitute_square(rep)
         elif op == "recover":
+            r = _value(transform, "r", float, True)
+            window = _value(transform, "window", lambda w: tuple(map(float, w)), True)
             w = measures.recover_atom_weight(
-                funexpr.MeasureForm(rep), float(transform["r"]), tuple(transform["window"]),
+                funexpr.MeasureForm(rep), r, window,
                 eps_list=tuple(transform.get("eps", (1e-2, 1e-3, 1e-4))),
                 side=transform.get("side", "+"))
-            out["recovered"] = {"r": float(transform["r"]), "weight": w}
+            out["recovered"] = {"r": r, "weight": w}
         else:
             raise _CliFailure(EVAL_ERROR, f"unknown measure op {op!r}")
     out["kind_out"] = out_rep.kind

@@ -143,24 +143,21 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
 
     stages = [_certify(PipelineStage(0, "OM", f0), certify, config)]
     status = "completed"
-    idx = 0
     for _ in range(cycles):
         p = next(anchors)
-        idx += 1
-        soc = PipelineStage(idx, "SOC", diff_quotient(stages[-1].expr, p), point=p)
-        if _is_zero_stage(soc.expr):
-            stages.append(_certify(soc, certify, config))
+        soc = PipelineStage(len(stages), "SOC",
+                            diff_quotient(stages[-1].expr, p), point=p)
+        vanished = _is_zero_stage(soc.expr)
+        stages.append(_certify(soc, certify, config))
+        if vanished:
             status = "terminated_zero"
             break
-        stages.append(_certify(soc, certify, config))
 
-        idx += 1
-        oc = PipelineStage(idx, "OC", neg_reciprocal(soc.expr, positive=True))
+        oc = PipelineStage(len(stages), "OC", neg_reciprocal(soc.expr, positive=True))
         stages.append(_certify(oc, certify, config))
 
         p = next(anchors)
-        idx += 1
-        om = PipelineStage(idx, "OM", diff_quotient(oc.expr, p), point=p)
+        om = PipelineStage(len(stages), "OM", diff_quotient(oc.expr, p), point=p)
         stages.append(_certify(om, certify, config))
 
         try:
@@ -172,8 +169,7 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
                 # the next difference quotient is identically zero whatever
                 # the anchor; surface the zero in SOC position and stop
                 p = next(anchors)
-                idx += 1
-                zero = PipelineStage(idx, "SOC",
+                zero = PipelineStage(len(stages), "SOC",
                                      diff_quotient(om.expr, p), point=p)
                 stages.append(_certify(zero, certify, config))
                 status = "terminated_zero"
@@ -224,41 +220,29 @@ def backward_process(f0: FunctionExpr, points, shifts=None,
     if cycles is None:
         cycles = max(1, math.ceil(len(points) / 2))
     shifts = list(shifts) if shifts is not None else []
+    anchors = enumerate(itertools.cycle(points))
 
-    consumed = 0
-
-    def next_point() -> float:
-        nonlocal consumed
-        p = points[consumed % len(points)]
-        consumed += 1
-        return p
-
-    def next_shift(fn, x0, default_auto: bool):
-        k = (consumed - 1)  # shift slot aligned with the point just taken
+    def shift(k: int, fn, x0: float, auto: bool) -> float:
+        # slot k belongs to the k-th anchor taken
         if k < len(shifts) and shifts[k] is not None:
             return float(shifts[k])
-        if default_auto:
-            return choose_shift(fn, x0)
-        return 0.0
+        return choose_shift(fn, x0) if auto else 0.0
 
     stages = [_certify(PipelineStage(0, "OM", f0), certify, config)]
-    idx = 0
     for _ in range(cycles):
-        p = next_point()
-        c = next_shift(stages[-1].expr, p, default_auto=True)
-        idx -= 1
-        oc = PipelineStage(idx, "OC", mul_linear(stages[-1].expr, p, c),
+        k, p = next(anchors)
+        c = shift(k, stages[-1].expr, p, auto=True)
+        oc = PipelineStage(-len(stages), "OC", mul_linear(stages[-1].expr, p, c),
                            point=p, shift=c)
         stages.append(_certify(oc, certify, config))
 
-        idx -= 1
-        soc = PipelineStage(idx, "SOC", neg_reciprocal(oc.expr, positive=False))
+        soc = PipelineStage(-len(stages), "SOC",
+                            neg_reciprocal(oc.expr, positive=False))
         stages.append(_certify(soc, certify, config))
 
-        p = next_point()
-        c = next_shift(stages[-1].expr, p, default_auto=False)
-        idx -= 1
-        om = PipelineStage(idx, "OM", mul_linear(soc.expr, p, c),
+        k, p = next(anchors)
+        c = shift(k, stages[-1].expr, p, auto=False)
+        om = PipelineStage(-len(stages), "OM", mul_linear(soc.expr, p, c),
                            point=p, shift=c)
         stages.append(_certify(om, certify, config))
     return PipelineRun("backward", tuple(stages), points, "completed")

@@ -10,6 +10,7 @@ from loewner import (
     DiffQuot,
     GridConfig,
     Interval,
+    Quotient,
     check_convex,
     check_halfplane,
     check_loewner,
@@ -20,7 +21,7 @@ from loewner import (
     replay_witness,
 )
 from loewner.errors import DuplicateNodes
-from loewner.funexpr import CATALOG, Catalog
+from loewner.funexpr import CATALOG, Catalog, NegRecip
 from loewner.matcalc import matrix_from_json
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
@@ -87,6 +88,45 @@ def test_zero_function_is_strongly_convex():
     dom = Interval(0.0, 1.0)
     cert = check_strong(Constant(0.0, dom), QUICK)
     assert cert.verdict == "pass"
+
+
+def test_zero_function_passes_strong_without_trials():
+    cert = check_strong(Constant(0.0, Interval(0.0, 1.0)), QUICK)
+    assert (cert.verdict, cert.trials, cert.witness) == ("pass", 0, None)
+    assert cert.detail == "identically zero on the scan grid"
+
+
+def test_strong_is_inconclusive_when_f_is_not_strictly_positive():
+    # a tiny negative constant: no direct violation, but -1/f is unavailable
+    cert = check_strong(Constant(-1e-12, Interval(0.0, 1.0)), QUICK)
+    assert (cert.verdict, cert.trials, cert.witness) == ("inconclusive", 60, None)
+    assert cert.detail.startswith("not strictly positive on the scan grid")
+
+
+def test_strong_is_inconclusive_when_the_routes_disagree():
+    fn = Quotient((1.0, 0.0, -1e-8), (1.0,), Interval(0.0, 1.0))
+    cert = check_strong(fn, QUICK)
+    assert (cert.verdict, cert.trials) == ("inconclusive", 60)
+    assert cert.detail == "routes disagree: direct pass, -1/f fail"
+    # the witness is the -1/f route's, and it replays on -1/f
+    assert cert.witness == check_convex(NegRecip(fn), QUICK).witness
+    replayed = replay_witness(NegRecip(fn), cert)
+    assert abs(replayed - cert.witness["min_eig"]) < REPLAY_TOL
+
+
+@pytest.mark.parametrize("dims", [(), (1,), (2, 1), (0, 3)])
+def test_config_rejects_matrix_sizes_below_two(dims):
+    with pytest.raises(ValueError, match="dims"):
+        CertifyConfig(dims=dims)
+
+
+@pytest.mark.parametrize("kwargs", [{"trials": -5}, {"tol": float("nan")},
+                                    {"tol": float("inf")}, {"tol": -1e-9}])
+def test_config_rejects_counts_and_tolerances_that_decide_nothing(kwargs):
+    # with the first three x^2 (not monotone) passed; with the last the
+    # identity (monotone) failed
+    with pytest.raises(ValueError, match="trials >= 0 and a finite tol"):
+        CertifyConfig(**kwargs)
 
 
 def test_identity_fails_strong():

@@ -1,0 +1,103 @@
+"""Bit-for-bit pins of classify_all and witness replay.
+
+Each digest is the sha256 of ``json.dumps(classify_all(fn, QUICK).to_json(),
+sort_keys=True)``; each hex float is ``replay_witness`` on a failure
+certificate read back from its JSON.  The values were recorded from the
+per-check trial loops that the shared search (``classify._search``) and the
+shared inequality functions replaced, so a changed random stream, trial
+order, witness field, tolerance test or replayed matrix shows up here as a
+changed digest or bit.  They hold for numpy 2.4 with its bundled OpenBLAS on
+x86-64; another LAPACK build may round eigenvalues differently.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE, random_om_rep
+
+from loewner import (
+    Certificate,
+    CertifyConfig,
+    DiffQuot,
+    Interval,
+    MeasureForm,
+    Power,
+    classify_all,
+    replay_witness,
+)
+
+QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
+
+FUNCTIONS = {
+    "sqrt": SQRT,
+    "recip": RECIP,
+    "square": SQUARE,
+    "cube": CUBE,
+    "id_pos": ID_POS,
+    "dq_sqrt_1": DiffQuot(SQRT, 1.0),
+    "measure_om": MeasureForm(random_om_rep(np.random.default_rng(7))),
+    "pow_3_5": Power(3.5, Interval(0.0, 7.3, lo_closed=True, hi_closed=True)),
+}
+
+# name -> (digest of the classify_all JSON, replayed min_eig per failed check)
+PINNED = {
+    "sqrt": (
+        "c07b6e0530e9bcc342cbba79aead6e2026cf75d0ac0e0733d15aa31cdcaa0cdd",
+        {"convex": "-0x1.25e2c54c3a870p-1",
+         "strong": "-0x1.ee26b3320aba0p-5"}),
+    "recip": (
+        "08dbd3045bb21981ffb9fba443be3d1dfd7813fce3e29efdb7afc3acc2ac66ab",
+        {"halfplane": "-0x1.3e9788dac5f41p+2",
+         "loewner": "-0x1.3482d1c355a4ap-3",
+         "monotone": "-0x1.ada8f0d6388a4p-3"}),
+    "square": (
+        "26421c0d8785b514828c9f511e1a1993fb388e8b1e99475be5e628b8fb138c93",
+        {"halfplane": "-0x1.9000000000000p+7",
+         "loewner": "-0x1.28172d30e7a6dp+3",
+         "monotone": "-0x1.60f47f65c320ep+4",
+         "strong": "-0x1.75459ad8b6ff8p+1"}),
+    "cube": (
+        "724cd6abde032a1387bf59b77b7d77c473ead6685e06438e9a6713f6444216e7",
+        {"convex": "-0x1.7cb400e9f9d57p+8",
+         "halfplane": "-0x1.f360110f3f3a3p+9",
+         "loewner": "-0x1.4fb8194d1a02bp+4",
+         "monotone": "-0x1.6edfd3fa16a71p+4",
+         "strong": "-0x1.6863e7eb650a9p+5"}),
+    "id_pos": (
+        "2fedfce56e9321f3f69dbf83eaea277829eaad3188be0187b638d106aa14ae19",
+        {"strong": "-0x1.a73965531b458p-5"}),
+    "dq_sqrt_1": (
+        "1f27a9b6ea748cc0da8e00a286be2e6b2fe2d60d87d6c064c0ae29189aaa476b",
+        {"halfplane": "-0x1.a8160b86cf7b8p-3",
+         "loewner": "-0x1.a403af2778266p-6",
+         "monotone": "-0x1.f5fa947efee19p-5"}),
+    "measure_om": (
+        "7014ba5d9069089d997a48c57c51bd96fb4974f8297effe48eda4764d350e659",
+        {"convex": "-0x1.cc9a619d8c2eap+2",
+         "strong": "-0x1.a7da1b8ac85edp-2"}),
+    "pow_3_5": (
+        "0af2747e25ad8bf073205240300dfef617012a57d4f00513e0fef0a087baf76a",
+        {"convex": "-0x1.923f1fc85b8a6p+0",
+         "halfplane": "-0x1.c01b088e6c8b8p+11",
+         "loewner": "-0x1.bd0d50b9eb3e0p+3",
+         "monotone": "-0x1.eefe45e361c4cp+2",
+         "strong": "-0x1.ed496b3e3c5d0p+1"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_classify_all_and_replay_are_bitwise_pinned(name):
+    fn = FUNCTIONS[name]
+    digest, replays = PINNED[name]
+    doc = classify_all(fn, QUICK).to_json()
+    text = json.dumps(doc, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    got = {}
+    for check, cert_json in doc["certificates"].items():
+        if "witness" in cert_json:
+            cert = Certificate.from_json(json.loads(json.dumps(cert_json)))
+            got[check] = replay_witness(fn, cert).hex()
+    assert got == replays

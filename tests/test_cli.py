@@ -107,6 +107,31 @@ def test_bad_dims_flag_is_parse_error(tmp_path, capsys):
     assert "dims" in capsys.readouterr().err
 
 
+def test_dims_flag_below_two_is_parse_error(tmp_path, capsys):
+    spec = write_spec(tmp_path, {"function": to_json(SQRT)})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o"),
+                 "--dims", "1"]) == 2
+    assert "dims" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"dims": []},
+    {"dims": [1]},
+    {"dims": [2, 1]},
+    {"dims": 3},
+    {"trials": "abc"},
+    {"trials": -1},
+    {"tol": "tiny"},
+    {"tol": -1.0},
+    {"seed": "s"},
+], ids=["dims-empty", "dims-1", "dims-2-1", "dims-scalar", "trials", "trials-negative",
+        "tol", "tol-negative", "seed"])
+def test_malformed_spec_config_is_eval_error(tmp_path, capsys, config):
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": config})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("loewner: ")
+
+
 # --- input validation --------------------------------------------------------------
 
 def test_unparsable_json_reports_byte_offset(tmp_path, capsys):
@@ -175,6 +200,22 @@ def test_pipeline_unknown_process_is_eval_error(tmp_path):
     spec = write_spec(tmp_path, {"function": to_json(SQRT),
                                  "process": "sideways", "points": [1.0]})
     assert main(["pipeline", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+
+
+@pytest.mark.parametrize("field", [
+    {"points": ["a"]},
+    {"points": 5},
+    {"cycles": "x"},
+    {"process": "star", "steps": "x"},
+    {"process": "backward", "shifts": ["q"]},
+], ids=["points", "points-scalar", "cycles", "steps", "shifts"])
+def test_malformed_pipeline_field_is_eval_error(tmp_path, capsys, field):
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "process": "main",
+                                 "points": [1.0, 0.0], **field})
+    out = tmp_path / "o"
+    assert main(["pipeline", "--spec", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("loewner: ")
+    assert not (out / "pipeline.json").exists()
 
 
 # --- measure -----------------------------------------------------------------------
@@ -251,6 +292,34 @@ def test_measure_unknown_op_is_eval_error(tmp_path):
     spec = write_spec(tmp_path, {"kind": "om", "measure": rep_to_json(om_rep()),
                                  "transform": {"op": "fold"}})
     assert main(["measure", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+
+
+def soc_rep():
+    return SOCRep(a=0.1, mu_plus=DiscreteMeasure(((1.0, 0.7),)),
+                  mu_minus=DiscreteMeasure(()), interval=Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("kind, rep, transform", [
+    ("soc", soc_rep, {"op": "om_to_soc", "x0": 0.5}),
+    ("om", om_rep, {"op": "extend", "b": 1.0}),
+    ("om", om_rep, {"op": "substitute_square"}),
+    ("om", om_rep, {"op": "om_to_soc"}),
+    ("om", om_rep, {"op": "om_to_soc", "x0": "half"}),
+    ("soc", soc_rep, {"op": "extend"}),
+    ("om", om_rep, {"op": "recover", "r": 2.0}),
+    ("om", om_rep, {"op": "recover", "window": [1.2, 3.5]}),
+    ("om", om_rep, "x"),
+], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
+        "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
+        "transform-string"])
+def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
+                                                   transform):
+    spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),
+                                 "transform": transform})
+    out = tmp_path / "o"
+    assert main(["measure", "--spec", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("loewner: ")
+    assert not (out / "measure.json").exists()
 
 
 def test_classify_with_nan_anchor_is_eval_error(tmp_path):
