@@ -23,7 +23,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DuplicateNodes, NotPositive, UnsupportedNode, ZeroFunction
+from .errors import (
+    DuplicateNodes,
+    NonFiniteValue,
+    NotPositive,
+    UnsupportedNode,
+    ZeroFunction,
+)
 from .funexpr import NegRecip
 from .matcalc import (
     apply_fn,
@@ -117,11 +123,15 @@ def _search(prop: str, config: CertifyConfig, count: int, probes) -> Certificate
     ``probes(trial, rng)`` yields (matrix that must be PSD, witness fields);
     the first matrix below its floor ends the search with a fail certificate
     whose witness holds the fields (matrices in JSON form), the trial index
-    and the minimum eigenvalue.
+    and the minimum eigenvalue.  A matrix with a NaN or infinite entry raises
+    NonFiniteValue: its eigenvalues say nothing.
     """
     for trial in range(count):
         rng = np.random.default_rng([config.seed, trial])
         for gap, fields in probes(trial, rng):
+            if not np.isfinite(gap).all():
+                raise NonFiniteValue(f"{prop} trial {trial}: the {fields['check']} "
+                                     f"matrix has a non-finite entry")
             mn, floor = min_eig_floor(gap, config.tol)
             if mn < floor:
                 witness = {"check": fields.pop("check"), "trial": trial}
@@ -286,7 +296,8 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig(),
                     grid: GridConfig = None) -> Certificate:
     """Im f(z) on a log-spaced grid above the domain window must stay
     above -1e-10; the holomorphic extension of a monotone function maps the
-    upper half-plane into itself."""
+    upper half-plane into itself.  A NaN or infinite f(z) raises
+    NonFiniteValue."""
     grid = grid or GridConfig()
     if grid.re_window is not None:
         rlo, rhi = grid.re_window
@@ -297,15 +308,17 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig(),
     ims = np.geomspace(grid.im_range[0], grid.im_range[1], grid.im_points)
     zs = res[None, :] + 1j * ims[:, None]
     vals = fn.eval_complex(zs)
+    extra = [fn.eval_complex(complex(z)) for z in grid.extra_points]
+    if not (np.isfinite(vals).all() and np.isfinite(extra).all()):
+        raise NonFiniteValue("f(z) is not finite on the half-plane grid")
     imv = np.asarray(vals).imag
-    total = imv.size + len(grid.extra_points)
+    total = imv.size + len(extra)
 
     flat = np.argmin(imv)
     worst = (float(imv.ravel()[flat]), complex(zs.ravel()[flat]))
-    for z in grid.extra_points:
-        v = fn.eval_complex(complex(z)).imag
-        if v < worst[0]:
-            worst = (float(v), complex(z))
+    for z, v in zip(grid.extra_points, extra):
+        if v.imag < worst[0]:
+            worst = (float(v.imag), complex(z))
 
     if worst[0] < -HALFPLANE_TOL:
         witness = {"check": "halfplane",

@@ -243,10 +243,11 @@ def _cmd_measure(args) -> int:
         elif op == "recover":
             r = _value(transform, "r", float, True)
             window = _value(transform, "window", lambda w: tuple(map(float, w)), True)
+            opts = {"eps_list": _value(transform, "eps", lambda es: tuple(map(float, es))),
+                    "side": _value(transform, "side", str)}
             w = measures.recover_atom_weight(
                 funexpr.MeasureForm(rep), r, window,
-                eps_list=tuple(transform.get("eps", (1e-2, 1e-3, 1e-4))),
-                side=transform.get("side", "+"))
+                **{k: v for k, v in opts.items() if v is not None})
             out["recovered"] = {"r": r, "weight": w}
         else:
             raise _CliFailure(EVAL_ERROR, f"unknown measure op {op!r}")

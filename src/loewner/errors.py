@@ -49,6 +49,10 @@ class DuplicateNodes(LoewnerError):
     """Divided-difference node list contains repeated points."""
 
 
+class NonFiniteValue(LoewnerError):
+    """A check met a NaN or infinite value, so no verdict can be drawn."""
+
+
 # --- transform errors -------------------------------------------------------
 
 class NoFiniteLimit(LoewnerError):
@@ -112,6 +116,11 @@ class StageCertificationFailed(LoewnerError):
 
 
 # --- measure errors ----------------------------------------------------------
+
+class BadMeasureInput(LoewnerError, ValueError):
+    """A measure, a representation or a measure-operation argument is
+    malformed or out of range."""
+
 
 class AtomAtX0(LoewnerError):
     """An atom coincides with the difference-quotient center."""

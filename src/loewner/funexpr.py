@@ -20,7 +20,7 @@ every tree round-trips through ``to_json``/``from_json``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -98,7 +98,19 @@ class FunctionExpr:
         return _central_diff(self._val, xs, bounds=(dom.lo, dom.hi))
 
     def to_json(self) -> dict:
-        raise NotImplementedError
+        """{"kind": ...} plus every init field: child nodes and intervals as
+        their own JSON, tuples as lists."""
+        out = {"kind": self.kind}
+        for f in fields(self):
+            if not f.init:
+                continue
+            v = getattr(self, f.name)
+            if isinstance(v, (FunctionExpr, Interval)):
+                v = v.to_json()
+            elif isinstance(v, tuple):
+                v = list(v)
+            out[f.name] = v
+        return out
 
     def __call__(self, x):
         return self.eval_real(x)
@@ -124,9 +136,6 @@ class Constant(FunctionExpr):
     def _dval(self, xs):
         return np.zeros_like(xs)
 
-    def to_json(self):
-        return {"kind": "constant", "c": self.c, "domain": self.domain.to_json()}
-
 
 @dataclass(frozen=True)
 class Affine(FunctionExpr):
@@ -147,10 +156,6 @@ class Affine(FunctionExpr):
 
     def _dval(self, xs):
         return np.full_like(xs, self.a)
-
-    def to_json(self):
-        return {"kind": "affine", "a": self.a, "b": self.b,
-                "domain": self.domain.to_json()}
 
 
 def identity(domain: Interval = REAL_LINE) -> Affine:
@@ -208,10 +213,6 @@ class Power(FunctionExpr):
             raise BranchError(f"negative base {bad!r} for exponent {self.alpha}")
         return self.alpha * np.power(xs, self.alpha - 1.0)
 
-    def to_json(self):
-        return {"kind": "power", "alpha": self.alpha,
-                "domain": self.domain.to_json()}
-
 
 @dataclass(frozen=True)
 class Reciprocal(FunctionExpr):
@@ -234,9 +235,6 @@ class Reciprocal(FunctionExpr):
 
     def _dval(self, xs):
         return -1.0 / xs**2
-
-    def to_json(self):
-        return {"kind": "reciprocal", "domain": self.domain.to_json()}
 
 
 class _CatalogEntry:
@@ -278,7 +276,7 @@ class Catalog(FunctionExpr):
     """Named function from the built-in catalog, with numeric parameters."""
 
     name: str
-    params: tuple = ()
+    params: dict | tuple = ()   # a mapping or (name, value) pairs; kept as sorted pairs
     domain: Interval = None
     kind = "catalog"
 
@@ -325,8 +323,7 @@ class Catalog(FunctionExpr):
         return entry.dval(self._p, xs)
 
     def to_json(self):
-        return {"kind": "catalog", "name": self.name,
-                "params": dict(self.params), "domain": self.domain.to_json()}
+        return {**super().to_json(), "params": dict(self.params)}
 
 
 def _trim(coeffs) -> tuple:
@@ -343,7 +340,7 @@ class Quotient(FunctionExpr):
     change (a pole inside the domain) is rejected."""
 
     num: tuple
-    den: tuple = (1.0,)
+    den: tuple
     domain: Interval = REAL_LINE
     kind = "quotient"
 
@@ -379,10 +376,6 @@ class Quotient(FunctionExpr):
         dd = tuple(i * d[i] for i in range(1, len(d))) or (0.0,)
         dv = pv(xs, d)
         return (pv(xs, dn) * dv - pv(xs, n) * pv(xs, dd)) / dv**2
-
-    def to_json(self):
-        return {"kind": "quotient", "num": list(self.num), "den": list(self.den),
-                "domain": self.domain.to_json()}
 
 
 # --- measure-form leaf ------------------------------------------------------------
@@ -496,9 +489,6 @@ class DiffQuot(FunctionExpr):
             out[near] = self._numeric_dval(xs[near])
         return out
 
-    def to_json(self):
-        return {"kind": "diffquot", "x0": self.x0, "child": self.child.to_json()}
-
 
 @dataclass(frozen=True)
 class NegRecip(FunctionExpr):
@@ -525,10 +515,6 @@ class NegRecip(FunctionExpr):
     def _dval(self, xs):
         cv = self.child._val(xs)
         return self.child._dval(xs) / cv**2
-
-    def to_json(self):
-        return {"kind": "negrecip", "positive_child": self.positive_child,
-                "child": self.child.to_json()}
 
 
 @dataclass(frozen=True)
@@ -562,10 +548,6 @@ class MulLinear(FunctionExpr):
     def _dval(self, xs):
         return self.child._dval(xs) * (xs - self.x0) + self.child._val(xs)
 
-    def to_json(self):
-        return {"kind": "mullinear", "x0": self.x0, "c": self.c,
-                "child": self.child.to_json()}
-
 
 @dataclass(frozen=True)
 class Compose(FunctionExpr):
@@ -591,10 +573,6 @@ class Compose(FunctionExpr):
         inner_v = np.asarray(self.inner._val(xs), dtype=float)
         return self.outer._dval(inner_v) * self.inner._dval(xs)
 
-    def to_json(self):
-        return {"kind": "compose", "outer": self.outer.to_json(),
-                "inner": self.inner.to_json()}
-
 
 # --- JSON ------------------------------------------------------------------------
 
@@ -602,37 +580,22 @@ def to_json(fn: FunctionExpr) -> dict:
     return fn.to_json()
 
 
-def _dom(d: dict, default=None):
-    if "domain" in d:
-        return Interval.from_json(d["domain"])
-    return default
-
-
 def from_json(d: dict) -> FunctionExpr:
     """Rebuild an expression tree from its JSON dict."""
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("function JSON must be an object with a 'kind' key")
     kind = d["kind"]
-    if kind == "constant":
-        return Constant(d["c"], _dom(d, REAL_LINE))
-    if kind == "affine":
-        return Affine(d["a"], d["b"], _dom(d, REAL_LINE))
-    if kind == "power":
-        return Power(d["alpha"], _dom(d))
-    if kind == "reciprocal":
-        return Reciprocal(_dom(d, Interval(0.0, math.inf)))
-    if kind == "catalog":
-        return Catalog(d["name"], tuple(d.get("params", {}).items()), _dom(d))
-    if kind == "quotient":
-        return Quotient(tuple(d["num"]), tuple(d["den"]), _dom(d, REAL_LINE))
-    if kind == "diffquot":
-        return DiffQuot(from_json(d["child"]), d["x0"])
-    if kind == "negrecip":
-        return NegRecip(from_json(d["child"]), d.get("positive_child", True))
-    if kind == "mullinear":
-        return MulLinear(from_json(d["child"]), d["x0"], d.get("c", 0.0))
-    if kind == "compose":
-        return Compose(from_json(d["outer"]), from_json(d["inner"]))
     if kind in ("measure_om", "measure_oc", "measure_soc"):
         return MeasureForm(rep_from_json(d, kind[len("measure_"):]))
-    raise UnsupportedNode(f"unknown function kind {kind!r}")
+    if kind not in _KINDS:
+        raise UnsupportedNode(f"unknown function kind {kind!r}")
+    cls = _KINDS[kind]
+    return cls(**{f.name: _DECODE.get(f.type, lambda v: v)(d[f.name])
+                  for f in fields(cls) if f.init and f.name in d})
+
+
+_KINDS = {cls.kind: cls for cls in (Constant, Affine, Power, Reciprocal, Catalog,
+                                    Quotient, DiffQuot, NegRecip, MulLinear, Compose)}
+# a field's annotation (a string: annotations are postponed) -> decoder of its
+# JSON; fields of other types pass as they are and the node checks them
+_DECODE = {"Interval": Interval.from_json, "FunctionExpr": from_json, "tuple": tuple}

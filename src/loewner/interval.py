@@ -134,6 +134,8 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
+        """Parse ``to_json`` output.  The flags must be JSON booleans; an
+        absent flag means open."""
         def dec(v):
             if v == "inf":
                 return math.inf
@@ -141,10 +143,13 @@ class Interval:
                 return -math.inf
             return float(v)
 
-        return cls(
-            dec(obj["lo"]), dec(obj["hi"]),
-            bool(obj.get("lo_closed", False)), bool(obj.get("hi_closed", False)),
-        )
+        def flag(key):
+            v = obj.get(key, False)
+            if not isinstance(v, bool):
+                raise TypeError(f"interval {key} must be true or false, got {v!r}")
+            return v
+
+        return cls(dec(obj["lo"]), dec(obj["hi"]), flag("lo_closed"), flag("hi_closed"))
 
     def __str__(self):
         lb = "[" if self.lo_closed else "("

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import (
     AtomAtX0,
+    BadMeasureInput,
     DomainError,
     NegativeAtom,
     NonzeroMuMinus,
@@ -53,12 +54,12 @@ class DiscreteMeasure:
         atoms = tuple(sorted((float(r), float(w)) for r, w in self.atoms))
         locs = [r for r, _ in atoms]
         if len(set(locs)) != len(locs):
-            raise ValueError("atom locations must be distinct")
+            raise BadMeasureInput("atom locations must be distinct")
         for r, w in atoms:
             if not (math.isfinite(r) and math.isfinite(w)):
-                raise ValueError(f"atom ({r}, {w}) is not finite")
+                raise BadMeasureInput(f"atom ({r}, {w}) is not finite")
             if w < 0:
-                raise ValueError(f"atom weight at r={r} is negative")
+                raise BadMeasureInput(f"atom weight at r={r} is negative")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -78,11 +79,11 @@ class DiscreteMeasure:
 def _require_outside(measure: DiscreteMeasure, interval: Interval, side: str | None):
     for r, _ in measure.atoms:
         if interval.contains(r):
-            raise ValueError(f"atom at r={r} lies inside the interval {interval}")
+            raise BadMeasureInput(f"atom at r={r} lies inside the interval {interval}")
         if side == "+" and r <= interval.lo:
-            raise ValueError(f"atom at r={r} is not to the right of {interval}")
+            raise BadMeasureInput(f"atom at r={r} is not to the right of {interval}")
         if side == "-" and r >= interval.hi:
-            raise ValueError(f"atom at r={r} is not to the left of {interval}")
+            raise BadMeasureInput(f"atom at r={r} is not to the left of {interval}")
 
 
 def _split_sides(measure: DiscreteMeasure, interval: Interval):
@@ -109,9 +110,9 @@ class OMRep:
 
     def __post_init__(self):
         if self.a < 0:
-            raise ValueError("slope coefficient a must be >= 0")
+            raise BadMeasureInput("slope coefficient a must be >= 0")
         if not self.interval.contains(self.x0):
-            raise ValueError(f"anchor x0={self.x0} must lie in {self.interval}")
+            raise BadMeasureInput(f"anchor x0={self.x0} must lie in {self.interval}")
         _require_outside(self.mu, self.interval, side=None)
 
     @property
@@ -145,9 +146,10 @@ class OCRep:
 
     def __post_init__(self):
         if self.a < 0:
-            raise ValueError("quadratic coefficient a must be >= 0")
+            raise BadMeasureInput("quadratic coefficient a must be >= 0")
         if not self.interval.interior_contains(self.x0):
-            raise ValueError(f"anchor x0={self.x0} must be interior to {self.interval}")
+            raise BadMeasureInput(
+                f"anchor x0={self.x0} must be interior to {self.interval}")
         _require_outside(self.mu_plus, self.interval, side="+")
         _require_outside(self.mu_minus, self.interval, side="-")
 
@@ -181,7 +183,7 @@ class SOCRep:
 
     def __post_init__(self):
         if self.a < 0:
-            raise ValueError("constant coefficient a must be >= 0")
+            raise BadMeasureInput("constant coefficient a must be >= 0")
         _require_outside(self.mu_plus, self.interval, side="+")
         _require_outside(self.mu_minus, self.interval, side="-")
 
@@ -321,16 +323,16 @@ def substitute_square(rep: OCRep) -> OCRep:
     if rep.mu_minus.atoms:
         raise NonzeroMuMinus("square substitution requires an empty left measure")
     if rep.x0 != 0.0:
-        raise ValueError("square substitution requires anchor x0 = 0")
+        raise BadMeasureInput("square substitution requires anchor x0 = 0")
     if rep.a != 0.0:
-        raise ValueError("square substitution requires no x^2 term in the input")
+        raise BadMeasureInput("square substitution requires no x^2 term in the input")
     for r, _ in rep.mu_plus.atoms:
         if r <= 0:
             raise NegativeAtom(f"atom location {r} must be positive")
 
     hi = rep.interval.hi
     if not math.isfinite(hi):
-        raise ValueError("square substitution needs a finite right endpoint")
+        raise BadMeasureInput("square substitution needs a finite right endpoint")
     s = math.sqrt(hi)
     out_interval = Interval(-s, s, rep.interval.hi_closed, rep.interval.hi_closed)
 
@@ -384,7 +386,7 @@ def rep_from_json(d: dict, kind: str):
     if kind == "soc":
         return SOCRep(a=float(d["a"]), mu_plus=DiscreteMeasure(plus),
                       mu_minus=DiscreteMeasure(minus), interval=interval)
-    raise ValueError(f"unknown representation kind {kind!r}")
+    raise BadMeasureInput(f"unknown representation kind {kind!r}")
 
 
 # --- Poisson-kernel atom recovery ---------------------------------------------
@@ -425,16 +427,18 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
     leakage.  ``side`` = "-" flips the sign for left-measure atoms.
     """
     lo, hi = float(window[0]), float(window[1])
+    if side not in ("+", "-"):
+        raise BadMeasureInput(f"side must be '+' or '-', got {side!r}")
     if not lo < r < hi:
-        raise ValueError(f"window ({lo}, {hi}) must contain the atom location {r}")
+        raise BadMeasureInput(f"window ({lo}, {hi}) must contain the atom location {r}")
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
-        raise ValueError("need at least two eps values for extrapolation")
+        raise BadMeasureInput("need at least two eps values for extrapolation")
     guard = 10.0 * max(eps_list)
     if min(r - lo, hi - r) < guard:
         raise WindowContainsPole(
             f"atom at {r} within {guard} of the window boundary")
-    sgn = {"+": 1.0, "-": -1.0}[side]
+    sgn = 1.0 if side == "+" else -1.0
 
     def mass(eps: float) -> float:
         def integrand(t: float) -> float:

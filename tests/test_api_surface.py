@@ -9,7 +9,8 @@ import inspect
 import pytest
 
 import loewner
-from loewner import funexpr, measures, processes
+from loewner import cli, classify, funexpr, matcalc, measures, processes, ratpoly
+from loewner import scanning, transforms
 
 TOP_LEVEL = (
     "Interval", "Power", "Quotient", "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
@@ -22,6 +23,21 @@ MEASURES = (
     "eval_soc_complex", "deriv_om", "deriv_oc", "deriv_soc",
 )
 CHANNELS = ("eval_real", "eval_complex", "eval_deriv")
+# every function the benchmark's tracer (perfbench/spans.py, LAYER_FUNCTIONS)
+# wraps; a run without tracing never imports the tracer, so only this shows a
+# renamed or moved target before a traced run fails
+TRACED = {
+    matcalc: ("apply_fn", "rand_hermitian", "rand_ordered_pair", "haar_unitary"),
+    classify: ("check_monotone", "check_convex", "check_strong", "check_loewner",
+               "check_halfplane", "replay_witness"),
+    measures: ("recover_atom_weight",),
+    scanning: ("check_positive", "check_negative", "is_zero_on_grid", "check_bounded"),
+    transforms: ("diff_quotient", "neg_reciprocal", "mul_linear", "choose_shift",
+                 "compose_checked"),
+    ratpoly: ("as_rational",),
+    processes: ("main_cycle", "star_process", "backward_process", "_certify"),
+    cli: ("main",),
+}
 
 
 @pytest.mark.parametrize("name", TOP_LEVEL)
@@ -32,6 +48,13 @@ def test_package_exports(name):
 @pytest.mark.parametrize("name", MEASURES)
 def test_measure_evaluators_importable(name):
     assert callable(getattr(measures, name))
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in TRACED.items() for name in names],
+    ids=lambda v: getattr(v, "__name__", v))
+def test_traced_functions_exist(module, name):
+    assert inspect.isfunction(getattr(module, name))
 
 
 def test_pipeline_helpers_importable():

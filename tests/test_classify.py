@@ -10,6 +10,7 @@ from loewner import (
     DiffQuot,
     GridConfig,
     Interval,
+    Power,
     Quotient,
     check_convex,
     check_halfplane,
@@ -20,7 +21,7 @@ from loewner import (
     loewner_matrix,
     replay_witness,
 )
-from loewner.errors import DuplicateNodes
+from loewner.errors import DuplicateNodes, NonFiniteValue
 from loewner.funexpr import CATALOG, Catalog, NegRecip
 from loewner.matcalc import matrix_from_json
 
@@ -185,6 +186,31 @@ def test_halfplane_extra_points_can_take_over():
     cert = check_halfplane(SQUARE, QUICK, grid)
     assert cert.verdict == "fail"
     assert cert.witness["z"] == [-5.0, 2.0]  # Im = -20, worse than the grid
+
+
+# --- non-finite values ------------------------------------------------------------------
+
+NAN = Constant(float("nan"), Interval(0.0, 1.0))
+
+
+def test_overflowing_jensen_gap_raises_instead_of_passing():
+    # x^-400 is inf below x ~ 0.17, so the Jensen gap holds inf - inf = NaN
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(NonFiniteValue, match="jensen"):
+        check_convex(Power(-400.0), CertifyConfig(trials=5))
+
+
+@pytest.mark.parametrize("check", [check_monotone, check_convex, check_strong,
+                                   check_loewner, check_halfplane])
+def test_nan_function_raises_in_every_check(check):
+    with pytest.raises(NonFiniteValue):
+        check(NAN, QUICK)
+
+
+def test_non_finite_halfplane_extra_point_raises():
+    grid = GridConfig(extra_points=(complex(np.inf, 1.0),))  # sqrt gives inf + nan i
+    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
+        check_halfplane(SQRT, QUICK, grid)
 
 
 # --- aggregate --------------------------------------------------------------------------

@@ -162,6 +162,22 @@ def test_invalid_function_domain_is_eval_error(tmp_path, capsys):
     assert "bad function" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("function", [
+    {"kind": "catalog", "name": "log", "params": [1, 2]},
+    {"kind": "power", "alpha": 0.5,
+     "domain": {"lo": 0.0, "hi": 1.0, "lo_closed": "false"}},
+    {"kind": "quotient", "num": [1.0, 2.0]},
+    {"kind": "constant", "c": float("nan")},   # json.dumps writes NaN
+], ids=["catalog-params-list", "interval-flag-string", "quotient-no-den",
+        "constant-nan"])
+def test_malformed_function_spec_is_eval_error(tmp_path, capsys, function):
+    spec = write_spec(tmp_path, {"function": function, "config": FAST})
+    out = tmp_path / "o"
+    assert main(["classify", "--spec", spec, "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("loewner: ")
+    assert not (out / "certificates.json").exists()
+
+
 # --- pipeline ----------------------------------------------------------------------
 
 def test_pipeline_main_artifacts(tmp_path):
@@ -299,6 +315,11 @@ def soc_rep():
                   mu_minus=DiscreteMeasure(()), interval=Interval(0.0, 1.0))
 
 
+def oc_rep_off_zero():
+    return OCRep(a=0.0, b=0.0, c=0.0, x0=0.5, mu_plus=DiscreteMeasure(((4.0, 1.0),)),
+                 mu_minus=DiscreteMeasure(()), interval=Interval(-2.0, 2.0))
+
+
 @pytest.mark.parametrize("kind, rep, transform", [
     ("soc", soc_rep, {"op": "om_to_soc", "x0": 0.5}),
     ("om", om_rep, {"op": "extend", "b": 1.0}),
@@ -309,9 +330,14 @@ def soc_rep():
     ("om", om_rep, {"op": "recover", "r": 2.0}),
     ("om", om_rep, {"op": "recover", "window": [1.2, 3.5]}),
     ("om", om_rep, "x"),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [2.5, 3.5]}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5], "side": "x"}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5], "eps": ["a", "b"]}),
+    ("oc", oc_rep_off_zero, {"op": "substitute_square"}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
-        "transform-string"])
+        "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
+        "square-x0-off-zero"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),

@@ -78,6 +78,14 @@ def test_json_round_trip_with_infinities():
     assert d["hi"] == "inf"
 
 
+def test_json_flags_must_be_booleans():
+    assert Interval.from_json({"lo": 0, "hi": 1}) == Interval(0.0, 1.0)
+    assert Interval.from_json({"lo": 0, "hi": 1, "hi_closed": True}).hi_closed
+    for bad in ("false", 0, 1, None):
+        with pytest.raises(TypeError):
+            Interval.from_json({"lo": 0, "hi": 1, "lo_closed": bad})
+
+
 @settings(derandomize=True, max_examples=60)
 @given(x=st.floats(-5, 5), lo=st.floats(-4, 0), hi=st.floats(1, 4))
 def test_interior_implies_membership_implies_closure(x, lo, hi):

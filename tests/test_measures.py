@@ -19,6 +19,7 @@ from loewner import (
 )
 from loewner.errors import (
     AtomAtX0,
+    BadMeasureInput,
     DomainError,
     NonzeroMuMinus,
     NotEndpoint,
@@ -217,6 +218,15 @@ def test_substitute_square_guards():
         substitute_square(quadratic)
 
 
+def test_square_substitution_with_a_negative_x2_term_is_bad_input():
+    # the x^2 coefficient b - w/r^2 = 0.01 - 1/16 is negative: no convex form
+    rep = OCRep(a=0.0, b=0.01, c=0.0, x0=0.0,
+                mu_plus=DiscreteMeasure(((4.0, 1.0),)),
+                mu_minus=DiscreteMeasure(()), interval=Interval(-2.0, 2.0))
+    with pytest.raises(BadMeasureInput):
+        substitute_square(rep)
+
+
 # --- serialization -------------------------------------------------------------------
 
 def test_rep_json_round_trips():
@@ -240,6 +250,18 @@ def test_recover_rejects_window_touching_the_atom_grid_edge():
                 mu=DiscreteMeasure(((2.0, 1.0),)), interval=Interval(0.0, 1.0))
     with pytest.raises(WindowContainsPole):
         recover_atom_weight(MeasureOM(rep), 2.0, (1.999, 3.0))
+
+
+@pytest.mark.parametrize("window, kwargs", [
+    ((2.5, 3.5), {}),
+    ((1.2, 3.5), {"side": "x"}),
+    ((1.2, 3.5), {"eps_list": (1e-3,)}),
+], ids=["window-misses-r", "side", "one-eps"])
+def test_recover_argument_errors_are_bad_measure_input(window, kwargs):
+    rep = OMRep(a=0.0, b=0.0, x0=0.5,
+                mu=DiscreteMeasure(((2.0, 1.0),)), interval=Interval(0.0, 1.0))
+    with pytest.raises(BadMeasureInput):
+        recover_atom_weight(MeasureOM(rep), 2.0, window, **kwargs)
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
