@@ -20,11 +20,13 @@ Checks:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import (
     DuplicateNodes,
+    LoewnerError,
     NonFiniteValue,
     NotPositive,
     UnsupportedNode,
@@ -59,6 +61,7 @@ T_DRAWS = 8                      # random Jensen weights per convexity trial
 CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
+CHUNK = 32                       # most trials drawn and evaluated together
 
 
 @dataclass(frozen=True)
@@ -70,10 +73,12 @@ class CertifyConfig:
 
     def __post_init__(self):
         # trials < 0 or a NaN/inf tol passes anything; tol < 0 fails PSD matrices
-        if (not self.dims or min(self.dims) < 2 or self.trials < 0
+        counts = (self.trials, self.seed, *self.dims)
+        if (any(isinstance(c, bool) or not isinstance(c, (int, np.integer)) for c in counts)
+                or not self.dims or min(self.dims) < 2 or min(self.trials, self.seed) < 0
                 or not 0.0 <= self.tol < np.inf):
-            raise ValueError(f"need dims of sizes >= 2, trials >= 0 and a finite "
-                             f"tol >= 0, got {self}")
+            raise ValueError(f"need integer trials, dims and seed, dims of sizes >= 2, "
+                             f"seed >= 0, trials >= 0 and a finite tol >= 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -113,97 +118,136 @@ class Certificate:
                            detail=d.get("detail", ""))
 
 
-def _dim(config: CertifyConfig, trial: int) -> int:
-    return config.dims[trial % len(config.dims)]
+def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
+    """Evaluate the trials, those of one size as stacks: the fail certificate of
+    the lowest bad gap, or None; NonFiniteValue if that gap is not finite."""
+    groups = {}
+    for trial in trials:
+        groups.setdefault(sizes[trial % len(sizes)], []).append(trial)
+    found = []                    # (trial, part, fields, index, min eig or None)
+    for size, members in groups.items():
+        rngs = [np.random.default_rng([config.seed, t]) for t in members]
+        for part, (owner, gaps, fields) in enumerate(probe(rngs, size)):
+            finite = np.isfinite(gaps).all(axis=(-2, -1))
+            mn, floor = min_eig_floor(np.where(finite[:, None, None], gaps, 0.0),
+                                      config.tol)
+            bad = np.flatnonzero(~finite | (mn < floor))
+            for i in bad[:1]:
+                found.append((members[owner[i]], part, fields, i,
+                              float(mn[i]) if finite[i] else None))
+    if not found:
+        return None
+    trial, _, fields, i, mn = min(found, key=lambda f: f[:2])
+    fields = fields(i)
+    if mn is None:
+        raise NonFiniteValue(f"{prop} trial {trial}: the {fields['check']} "
+                             f"matrix has a non-finite entry")
+    witness = {"check": fields.pop("check"), "trial": trial}
+    witness.update((k, matrix_to_json(v) if isinstance(v, np.ndarray) else v)
+                   for k, v in fields.items())
+    witness["min_eig"] = mn
+    return Certificate(prop, "fail", trial + 1, config.tol, config.seed, witness)
 
 
-def _search(prop: str, config: CertifyConfig, count: int, probes) -> Certificate:
-    """Run trials 0..count-1, each on its own stream default_rng([seed, trial]).
+def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
+            probe) -> Certificate:
+    """Trials 0..count-1 in chunks [0], [1], [2, 3], [4..7], ... of at most
+    CHUNK; trial k has size sizes[k % len(sizes)], stream default_rng([seed, k]).
 
-    ``probes(trial, rng)`` yields (matrix that must be PSD, witness fields);
-    the first matrix below its floor ends the search with a fail certificate
-    whose witness holds the fields (matrices in JSON form), the trial index
-    and the minimum eigenvalue.  A matrix with a NaN or infinite entry raises
-    NonFiniteValue: its eigenvalues say nothing.
+    ``probe(rngs, size)`` draws from each stream what one trial draws, in its
+    order, and yields parts (owner, gaps, fields): matrices that must be PSD in
+    (trial, probe) order, the position in rngs of each one's trial, and
+    fields(i), the witness of gap i.  In (trial, probe) order, the first gap
+    that is not finite or is below its floor decides: NonFiniteValue or a
+    fail.  A chunk that raises runs again one trial at a time, likewise.
     """
-    for trial in range(count):
-        rng = np.random.default_rng([config.seed, trial])
-        for gap, fields in probes(trial, rng):
-            if not np.isfinite(gap).all():
-                raise NonFiniteValue(f"{prop} trial {trial}: the {fields['check']} "
-                                     f"matrix has a non-finite entry")
-            mn, floor = min_eig_floor(gap, config.tol)
-            if mn < floor:
-                witness = {"check": fields.pop("check"), "trial": trial}
-                witness.update((k, matrix_to_json(v) if isinstance(v, np.ndarray)
-                                else v) for k, v in fields.items())
-                witness["min_eig"] = mn
-                return Certificate(prop, "fail", trial + 1, config.tol,
-                                   config.seed, witness)
+    scan = partial(_scan, prop, config, sizes, probe)
+    stop = 0
+    while stop < count:
+        chunk = range(stop, min(count, max(2 * stop, 1), stop + CHUNK))
+        stop = chunk.stop
+        try:
+            cert = scan(chunk)
+        except LoewnerError:
+            if len(chunk) == 1:
+                raise
+            cert = next(filter(None, (scan([t]) for t in chunk)), None)
+        if cert:
+            return cert
     return Certificate(prop, "pass", count, config.tol, config.seed)
 
 
-# --- the inequalities: each returns the matrix that must be PSD ------------------
+# --- the inequalities: each returns the matrix (or stack) that must be PSD -------
 
 def _monotone_gap(fn, h1, h2) -> np.ndarray:
     """f(h2) - f(h1) for h1 <= h2."""
-    return apply_fn(fn, h2) - apply_fn(fn, h1)
+    f1, f2 = apply_fn(fn, np.stack([h1, h2]))
+    return f2 - f1
 
 
-def _jensen_gap(fn, h1, h2, f1, f2, t: float) -> np.ndarray:
+def _jensen_gap(fn, h1, h2, f1, f2, t) -> np.ndarray:
     """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2), given f1 = f(h1), f2 = f(h2)."""
     mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
     return t * f1 + (1.0 - t) * f2 - mix
 
 
-def _davis_gap(fn, h, v) -> np.ndarray:
-    """V*f(h)V - f(V*hV) for an isometry V."""
+def _davis_gap(fn, fh, h, v) -> np.ndarray:
+    """V*f(h)V - f(V*hV) for an isometry V, given fh = f(h)."""
     corner = apply_fn(fn, compress(h, v))
-    return compress(apply_fn(fn, h), v) - corner
+    return compress(fh, v) - corner
 
 
-def _strong_gap(fn, h, v) -> np.ndarray:
-    """f(h) - V f(V*hV) V* for an isometry V."""
+def _strong_gap(fn, fh, h, v) -> np.ndarray:
+    """f(h) - V f(V*hV) V* for an isometry V, given fh = f(h)."""
     corner = apply_fn(fn, compress(h, v))
-    return apply_fn(fn, h) - embed(corner, v)
+    return fh - embed(corner, v)
 
 
 # --- monotonicity -----------------------------------------------------------------
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    def probes(trial, rng):
-        n = _dim(config, trial)
-        h1, h2 = rand_ordered_pair(rng, n, fn.domain, CLIP_LEN)
-        yield (_monotone_gap(fn, h1, h2),
-               {"check": "monotone", "dim": n, "h1": h1, "h2": h2})
+    def probe(rngs, n):
+        h1, h2 = rand_ordered_pair(rngs, n, fn.domain, CLIP_LEN)
+        yield (np.arange(len(rngs)), _monotone_gap(fn, h1, h2),
+               lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
-    return _search("operator_monotone", config, config.trials, probes)
+    return _search("operator_monotone", config, config.trials, config.dims, probe)
 
 
 # --- convexity -------------------------------------------------------------------
 
-def _rand_isometry(rng: np.random.Generator, n: int) -> np.ndarray:
-    rank = int(rng.integers(1, n))
-    return haar_unitary(rng, n)[:, :rank]
+def _corner_parts(fn, check, gap, rngs, n, h, fh):
+    """Draw each trial's isometry V (a rank in 1..n-1, then a Haar unitary)
+    and yield one part per rank drawn: gap(fn, fh, h, V) for the trials of
+    that rank, with witness fields h1 = h and the projection p = VV*."""
+    ranks = np.array([int(g.integers(1, n)) for g in rngs])
+    u = haar_unitary(rngs, n)
+    for r in np.unique(ranks):
+        owner = np.flatnonzero(ranks == r)
+        v = u[owner, :, :r]
+        yield (owner, gap(fn, fh[owner], h[owner], v),
+               lambda i, h=h[owner], v=v: {"check": check, "dim": n, "h1": h[i],
+                                           "p": v[i] @ v[i].conj().T})
 
 
 def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
-    def probes(trial, rng):
-        n = _dim(config, trial)
-        h1 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
-        h2 = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
-        f1, f2 = apply_fn(fn, h1), apply_fn(fn, h2)
-        for t in [0.5] + [float(t) for t in rng.uniform(0.0, 1.0, T_DRAWS)]:
-            yield (_jensen_gap(fn, h1, h2, f1, f2, t),
-                   {"check": "jensen", "dim": n, "t": t, "h1": h1, "h2": h2})
-        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
-        v = _rand_isometry(rng, n)
-        yield (_davis_gap(fn, h, v),
-               {"check": "davis", "dim": n, "h1": h, "p": v @ v.conj().T})
+    def probe(rngs, n):
+        h1 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        h2 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
+        h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        f1, f2, fh = apply_fn(fn, np.stack([h1, h2, h]))
+        gaps = _jensen_gap(fn, h1[:, None], h2[:, None], f1[:, None], f2[:, None],
+                           ts[..., None, None])
+        per = T_DRAWS + 1
+        yield (np.arange(len(rngs)).repeat(per), gaps.reshape(-1, n, n),
+               lambda i: {"check": "jensen", "dim": n, "t": float(ts.flat[i]),
+                          "h1": h1[i // per], "h2": h2[i // per]})
+        yield from _corner_parts(fn, "davis", _davis_gap, rngs, n, h, fh)
 
-    return _search("operator_convex", config, config.trials, probes)
+    return _search("operator_convex", config, config.trials, config.dims, probe)
 
 
 # --- strong convexity --------------------------------------------------------------
@@ -225,14 +269,11 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     except NotPositive:
         positive = False
 
-    def probes(trial, rng):
-        n = _dim(config, trial)
-        h = rand_hermitian(rng, n, fn.domain, CLIP_LEN)
-        v = _rand_isometry(rng, n)
-        yield (_strong_gap(fn, h, v),
-               {"check": "strong", "dim": n, "h1": h, "p": v @ v.conj().T})
+    def probe(rngs, n):
+        h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h, apply_fn(fn, h))
 
-    direct = _search(prop, config, config.trials, probes)
+    direct = _search(prop, config, config.trials, config.dims, probe)
     if not positive:
         if direct.verdict == "fail":
             return direct
@@ -253,17 +294,19 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
 
 def loewner_matrix(fn, nodes) -> np.ndarray:
     """Matrix of divided differences (f(xi)-f(xj))/(xi-xj), derivative on
-    the diagonal.  Nodes must be distinct points of the domain."""
+    the diagonal; over a (..., size) stack of node sets, a stack of them.
+    Nodes must be distinct points of the domain."""
     xs = np.asarray(nodes, dtype=float)
-    if len(np.unique(xs)) != len(xs):
-        raise DuplicateNodes(f"nodes contain repeats: {sorted(xs.tolist())}")
+    srt = np.sort(xs, axis=-1)
+    if (srt[..., 1:] == srt[..., :-1]).any():
+        raise DuplicateNodes(f"nodes contain repeats: {srt.tolist()}")
     vals = np.asarray(fn.eval_real(xs), dtype=float)
     der = np.asarray(fn.eval_deriv(xs), dtype=float)
-    dx = xs[:, None] - xs[None, :]
-    df = vals[:, None] - vals[None, :]
-    eye = np.eye(len(xs), dtype=bool)
+    dx = xs[..., :, None] - xs[..., None, :]
+    df = vals[..., :, None] - vals[..., None, :]
+    eye = np.eye(xs.shape[-1], dtype=bool)
     out = np.where(eye, 0.0, df / np.where(eye, 1.0, dx))
-    out[eye] = der
+    out[..., eye] = der
     return out
 
 
@@ -277,17 +320,19 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
     lo, hi = _node_window(fn)
 
-    def probes(trial, rng):
-        size = LOEWNER_SIZES[trial % len(LOEWNER_SIZES)]
-        nodes = rng.uniform(lo, hi, size=size)
-        for _ in range(100):
-            if len(np.unique(nodes)) == size:
-                break
-            nodes = rng.uniform(lo, hi, size=size)
-        yield (loewner_matrix(fn, nodes),
-               {"check": "loewner", "nodes": [float(x) for x in sorted(nodes)]})
+    def probe(rngs, size):
+        def draw(g):
+            for _ in range(101):
+                nodes = g.uniform(lo, hi, size=size)
+                if len(np.unique(nodes)) == size:
+                    return nodes
+            return nodes
 
-    return _search("loewner_order", config, LOEWNER_SETS, probes)
+        nodes = np.array([draw(g) for g in rngs])
+        yield (np.arange(len(rngs)), loewner_matrix(fn, nodes),
+               lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
+
+    return _search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
 
 
 # --- upper half-plane ----------------------------------------------------------------
@@ -389,7 +434,7 @@ def replay_witness(fn, cert: Certificate) -> float:
         gap = _jensen_gap(fn, h1, h2, apply_fn(fn, h1), apply_fn(fn, h2), w["t"])
     elif kind in ("davis", "strong"):
         h, v = matrix_from_json(w["h1"]), projection_basis(matrix_from_json(w["p"]))
-        gap = (_davis_gap if kind == "davis" else _strong_gap)(fn, h, v)
+        gap = (_davis_gap if kind == "davis" else _strong_gap)(fn, apply_fn(fn, h), h, v)
     else:
         raise ValueError(f"unknown witness check {kind!r}")
     return psd_min_eig(gap)

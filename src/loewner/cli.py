@@ -123,9 +123,9 @@ def _parse_dims(text: str) -> tuple:
 
 def _config_from(spec: dict, args) -> _classify.CertifyConfig:
     cfg = _value(spec, "config", dict) or {}
-    kwargs = {"seed": _value(cfg, "seed", int), "trials": _value(cfg, "trials", int),
-              "dims": _value(cfg, "dims", lambda ds: tuple(int(d) for d in ds)),
-              "tol": _value(cfg, "tol", float)}
+    # counts go to CertifyConfig as they are, so that 2.5 or true is rejected, not cut
+    kwargs = {"seed": cfg.get("seed"), "trials": cfg.get("trials"),
+              "dims": _value(cfg, "dims", tuple), "tol": _value(cfg, "tol", float)}
     env = os.environ.get("LOEWNER_SEED")
     if env is not None:
         try:

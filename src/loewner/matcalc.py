@@ -25,10 +25,15 @@ ENDPOINT_SNAP = 1e-12
 EDGE_SHRINK = 1e-6
 
 
+def _adj(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix, or of each matrix of a stack."""
+    return m.conj().swapaxes(-1, -2)
+
+
 def sym(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m*)/2."""
+    """Hermitian part (m + m*)/2 of a matrix or of each in a (..., n, n) stack."""
     m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + _adj(m))
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -42,22 +47,22 @@ def psd_min_eig(m: np.ndarray) -> float:
 
 def min_eig_floor(m: np.ndarray, tol: float = 1e-9) -> tuple:
     """(smallest eigenvalue of the Hermitian part, -tol * (1 + ||m||)): the
-    matrix counts as PSD when the first is not below the second."""
+    matrix counts as PSD when the first is not below the second.  Over a
+    (..., n, n) stack, both are arrays with one entry per matrix."""
     eigs = np.linalg.eigvalsh(sym(m))
-    scale = float(np.max(np.abs(eigs))) if eigs.size else 0.0
-    return float(np.min(eigs)), -tol * (1.0 + scale)
+    return eigs.min(-1), -tol * (1.0 + np.abs(eigs).max(-1))
 
 
 def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
     """PSD up to the relative slack tol * (1 + ||m||)."""
     mn, floor = min_eig_floor(m, tol)
-    return mn >= floor
+    return bool(mn >= floor)
 
 
 def apply_fn(fn, h: np.ndarray) -> np.ndarray:
-    """f(h) by spectral calculus.  Eigenvalues that overshoot a closed
-    endpoint by at most 1e-12 (relative) snap onto it; any other eigenvalue
-    outside f's domain raises SpectrumOutsideDomain."""
+    """f(h) by spectral calculus, of a matrix or each of a (..., n, n) stack.
+    Eigenvalues that overshoot a closed endpoint by at most 1e-12 (relative)
+    snap onto it; any other outside f's domain raises SpectrumOutsideDomain."""
     w, v = np.linalg.eigh(sym(h))
     dom = fn.domain
     ok = dom.mask(w, snap=ENDPOINT_SNAP)
@@ -65,7 +70,7 @@ def apply_fn(fn, h: np.ndarray) -> np.ndarray:
         raise SpectrumOutsideDomain(float(w[~ok][0]), dom)
     w = w.clip(dom.lo, dom.hi)
     vals = np.asarray(fn.eval_real(w), dtype=float)
-    return sym((v * vals) @ v.conj().T)
+    return sym((v * vals[..., None, :]) @ _adj(v))
 
 
 # --- projections and blocks -----------------------------------------------------
@@ -96,13 +101,13 @@ def complement_basis(basis: np.ndarray) -> np.ndarray:
 
 
 def compress(m: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Corner block V* m V of m in the given orthonormal basis."""
-    return basis.conj().T @ np.asarray(m, dtype=complex) @ basis
+    """Corner block V* m V of m (or of each of a stack) in the basis V."""
+    return _adj(basis) @ np.asarray(m, dtype=complex) @ basis
 
 
 def embed(small: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """V small V*: place a corner block back into the big space."""
-    return basis @ np.asarray(small, dtype=complex) @ basis.conj().T
+    return basis @ np.asarray(small, dtype=complex) @ _adj(basis)
 
 
 def schur_complement(k: np.ndarray, basis: np.ndarray) -> np.ndarray:
@@ -124,12 +129,20 @@ def schur_complement(k: np.ndarray, basis: np.ndarray) -> np.ndarray:
 
 # --- random objects ---------------------------------------------------------------
 
-def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
+def _each(rng, draw):
+    """draw(rng), or the stack of draw(g) over a sequence of generators, each
+    drawing what it would draw alone, so every sampler takes either."""
+    if isinstance(rng, np.random.Generator):
+        return draw(rng)
+    return np.array([draw(g) for g in rng])
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
     """Haar-distributed unitary via QR with the standard phase fix."""
-    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a = _each(rng, lambda g: g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
     q, r = np.linalg.qr(a)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def _spectrum_window(domain: Interval, clip_len: float) -> tuple:
@@ -144,18 +157,16 @@ def _spectrum_window(domain: Interval, clip_len: float) -> tuple:
     return lo, hi
 
 
-def rand_hermitian(rng: np.random.Generator, n: int, domain: Interval,
-                   clip_len: float = 20.0) -> np.ndarray:
+def rand_hermitian(rng, n: int, domain: Interval, clip_len: float = 20.0) -> np.ndarray:
     """Random Hermitian matrix with spectrum drawn uniformly from a bounded
     window of the domain (open endpoints shrunk by 1e-6 relative)."""
     lo, hi = _spectrum_window(domain, clip_len)
-    eigs = rng.uniform(lo, hi, size=n)
+    eigs = _each(rng, lambda g: g.uniform(lo, hi, size=n))
     u = haar_unitary(rng, n)
-    return sym((u * eigs) @ u.conj().T)
+    return sym((u * eigs[..., None, :]) @ _adj(u))
 
 
-def rand_ordered_pair(rng: np.random.Generator, n: int, domain: Interval,
-                      clip_len: float = 20.0) -> tuple:
+def rand_ordered_pair(rng, n: int, domain: Interval, clip_len: float = 20.0) -> tuple:
     """(h1, h2) with h1 <= h2 and both spectra inside the domain.
 
     h2 is drawn at random; h1 = h2 - w * vv* with the rank-one weight w
@@ -164,12 +175,16 @@ def rand_ordered_pair(rng: np.random.Generator, n: int, domain: Interval,
     """
     lo, hi = _spectrum_window(domain, clip_len)
     h2 = rand_hermitian(rng, n, domain, clip_len)
-    lam_min = float(np.min(np.linalg.eigvalsh(h2)))
-    head = max(lam_min - lo, 0.0)  # eigh roundoff can put lam_min a hair under lo
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v = v / np.linalg.norm(v)
-    w = rng.uniform(0.0, 1.0) * head
-    h1 = sym(h2 - w * np.outer(v, v.conj()))
+    lam_min = np.linalg.eigvalsh(h2).min(-1)
+    head = np.maximum(lam_min - lo, 0.0)  # eigh roundoff can put lam_min a hair under lo
+
+    def unit(g):
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        return v / np.linalg.norm(v)
+
+    v = _each(rng, unit)
+    w = _each(rng, lambda g: g.uniform(0.0, 1.0)) * head
+    h1 = sym(h2 - w[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]))
     return h1, h2
 
 

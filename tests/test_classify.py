@@ -21,7 +21,8 @@ from loewner import (
     loewner_matrix,
     replay_witness,
 )
-from loewner.errors import DuplicateNodes, NonFiniteValue
+from loewner.classify import _search
+from loewner.errors import DomainError, DuplicateNodes, NonFiniteValue
 from loewner.funexpr import CATALOG, Catalog, NegRecip
 from loewner.matcalc import matrix_from_json
 
@@ -130,6 +131,20 @@ def test_config_rejects_counts_and_tolerances_that_decide_nothing(kwargs):
         CertifyConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [{"trials": 2.5}, {"trials": True}, {"dims": (2.5,)},
+                                    {"dims": (2, 3.0)}, {"seed": 1.5}, {"seed": False},
+                                    {"seed": -1}])
+def test_config_rejects_non_integer_counts_and_a_negative_seed(kwargs):
+    # trials=True ran one trial; the others failed later inside numpy
+    with pytest.raises(ValueError, match="need integer trials, dims and seed"):
+        CertifyConfig(**kwargs)
+
+
+def test_config_takes_numpy_integers():
+    config = CertifyConfig(trials=np.int64(3), dims=(np.int32(2),), seed=np.uint8(1))
+    assert check_monotone(SQRT, config).trials == 3
+
+
 def test_identity_fails_strong():
     cert = check_strong(ID_POS, QUICK)
     assert cert.verdict == "fail"
@@ -196,8 +211,10 @@ NAN = Constant(float("nan"), Interval(0.0, 1.0))
 def test_overflowing_jensen_gap_raises_instead_of_passing():
     # x^-400 is inf below x ~ 0.17, so the Jensen gap holds inf - inf = NaN
     with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(NonFiniteValue, match="jensen"):
+            pytest.raises(NonFiniteValue) as err:
         check_convex(Power(-400.0), CertifyConfig(trials=5))
+    assert str(err.value) == ("operator_convex trial 0: the jensen matrix has a "
+                              "non-finite entry")
 
 
 @pytest.mark.parametrize("check", [check_monotone, check_convex, check_strong,
@@ -271,3 +288,62 @@ def test_replay_rejects_unknown_check():
                        {"check": "telepathy", "min_eig": -1.0})
     with pytest.raises(ValueError):
         replay_witness(ID_POS, cert)
+
+
+# --- the chunked search reports what a one-trial-at-a-time loop reports ---------------
+
+def test_chunks_double_up_to_the_cap():
+    sizes = []
+
+    def probe(rngs, size):
+        sizes.append(len(rngs))
+        yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), None
+
+    assert _search("synthetic", CertifyConfig(), 100, (2,), probe).verdict == "pass"
+    assert sizes == [1, 1, 2, 4, 8, 16, 32, 32, 4]
+
+
+def _synthetic_probe(outcomes):
+    """A probe of 2x2 gaps that are PSD, except where ``outcomes`` maps a trial
+    to "fail" (an eigenvalue -1), "nan" (a NaN entry) or "raise" (evaluating
+    its stack raises).  A trial is known by the first draw of its stream."""
+    by_draw = {np.random.default_rng([0, t]).uniform(): kind for t, kind in outcomes.items()}
+
+    def probe(rngs, size):
+        kinds = [by_draw.get(g.uniform()) for g in rngs]
+        if "raise" in kinds:
+            raise DomainError("synthetic")
+        gaps = np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)])
+                         for k in kinds])
+        yield np.arange(len(rngs)), gaps, lambda i: {"check": "synthetic", "kind": kinds[i]}
+
+    return probe
+
+
+# Trials 5 and 6 share the chunk 4..7: with sizes (2,) they share the stacks
+# too, with sizes (2, 3) they are in different stacks of the chunk.
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 3)])
+@pytest.mark.parametrize("outcomes, trial", [
+    ({5: "fail", 6: "raise"}, 5),
+    ({5: "fail", 6: "nan"}, 5),
+    ({5: "fail", 6: "fail"}, 5),
+    ({}, None),
+])
+def test_search_returns_the_lowest_failing_trial_of_a_chunk(outcomes, trial, sizes):
+    cert = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))
+    if trial is None:
+        assert (cert.verdict, cert.trials) == ("pass", 8)
+    else:
+        assert (cert.verdict, cert.trials, cert.witness["trial"]) == ("fail", trial + 1, trial)
+        assert cert.witness["kind"] == "fail"
+
+
+@pytest.mark.parametrize("outcomes, error, message", [
+    ({5: "nan", 6: "fail"}, NonFiniteValue, "synthetic trial 5: the synthetic matrix"),
+    ({5: "raise", 6: "fail"}, DomainError, "synthetic"),
+])
+@pytest.mark.parametrize("sizes", [(2,), (2, 3)])
+def test_search_raises_for_the_lowest_trial_of_a_chunk(outcomes, error, message, sizes):
+    with pytest.raises(error, match=message):
+        _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))

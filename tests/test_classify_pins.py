@@ -22,9 +22,14 @@ from loewner import (
     Certificate,
     CertifyConfig,
     DiffQuot,
+    DiscreteMeasure,
     Interval,
     MeasureForm,
+    MeasureSOC,
     Power,
+    Quotient,
+    SOCRep,
+    check_monotone,
     classify_all,
     replay_witness,
 )
@@ -100,4 +105,60 @@ def test_classify_all_and_replay_are_bitwise_pinned(name):
         if "witness" in cert_json:
             cert = Certificate.from_json(json.loads(json.dumps(cert_json)))
             got[check] = replay_witness(fn, cert).hex()
+    assert got == replays
+
+
+# --- the default config: 300 trials, so every chunk boundary of the search is
+# crossed.  Recorded from the one-trial-at-a-time search loop.
+
+UNIT = Interval(0.0, 1.0, lo_closed=True, hi_closed=True)
+
+
+@pytest.mark.parametrize("c, trial, dim, min_eig", [
+    (-2.6e-4, 73, 5, "-0x1.67ae9a89f5f1ap-30"),   # inside the chunk of trials 64..95
+    (-3e-4, 4, 6, "-0x1.51113d0ce84aap-30"),      # first trial of the chunk 4..7
+])
+def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, min_eig):
+    cert = check_monotone(Quotient((0.0, 1.0, c), (1.0,), UNIT))
+    w = cert.witness
+    assert (cert.verdict, cert.trials, w["trial"], w["dim"]) == ("fail", trial + 1, trial, dim)
+    assert w["min_eig"].hex() == min_eig
+
+
+# Inputs shaped like perfbench's classify-pass requests (operator monotone,
+# strongly operator convex pole forms left of their poles), and a pole form
+# bent by -1e-5 (x^3 (2 - x)) whose convexity check first fails at trial 104
+# (a compression probe inside the chunk of trials 96..127).
+DEFAULT_FUNCTIONS = {
+    "soc_pass": MeasureSOC(SOCRep(a=0.25, mu_plus=DiscreteMeasure(((2.5, 0.5), (4.0, 1.25))),
+                                  mu_minus=DiscreteMeasure(()),
+                                  interval=Interval(-1.0, 1.5, True, True))),
+    "quotient_pass": Quotient((0.5 * 3.0 + 0.8, -0.5), (3.0, -1.0),
+                              Interval(0.5, 2.0, True, True)),
+    "bent_pole": Quotient((1.0, 0.0, 0.0, -2e-5, 1e-5), (2.0, -1.0), UNIT),
+}
+
+# A pass certificate holds no per-trial data, so every all-pass document has
+# the same digest: the two pass pins assert verdicts and trial counts.
+ALL_PASS = "bf2218e4b829df6c9e996b8b2000f6eadbeba92da0e66ac0374914c0d1631d84"
+DEFAULT_PINNED = {
+    "soc_pass": (ALL_PASS, {}),
+    "quotient_pass": (ALL_PASS, {}),
+    "bent_pole": (
+        "e337f9ba8ee6025ad760c115bff468f87e8c75e778a26eed3f1d3f88bedd436c",
+        {"convex": "-0x1.6bb0f85907ac3p-30",
+         "loewner": "-0x1.fd9781bfa1925p-24",
+         "monotone": "-0x1.9ea01f4727cadp-29",
+         "strong": "-0x1.e16f6c6c00000p-25"}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_PINNED))
+def test_default_config_classify_all_is_bitwise_pinned(name):
+    fn = DEFAULT_FUNCTIONS[name]
+    digest, replays = DEFAULT_PINNED[name]
+    doc = classify_all(fn).to_json()
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
+    got = {check: replay_witness(fn, Certificate.from_json(cert_json)).hex()
+           for check, cert_json in doc["certificates"].items() if "witness" in cert_json}
     assert got == replays

@@ -124,8 +124,13 @@ def test_dims_flag_below_two_is_parse_error(tmp_path, capsys):
     {"tol": "tiny"},
     {"tol": -1.0},
     {"seed": "s"},
+    {"seed": -1},
+    {"trials": 2.5},
+    {"dims": [2.5]},
+    {"seed": True},
 ], ids=["dims-empty", "dims-1", "dims-2-1", "dims-scalar", "trials", "trials-negative",
-        "tol", "tol-negative", "seed"])
+        "tol", "tol-negative", "seed", "seed-negative", "trials-float", "dims-float",
+        "seed-bool"])
 def test_malformed_spec_config_is_eval_error(tmp_path, capsys, config):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": config})
     assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3

@@ -24,6 +24,7 @@ from loewner.matcalc import (
     haar_unitary,
     matrix_from_json,
     matrix_to_json,
+    min_eig_floor,
     projection_basis,
     spectral_norm,
     sym,
@@ -180,3 +181,44 @@ def test_square_respects_compression_only_one_way(seed):
     v = haar_unitary(rng, 4)[:, :2]
     gap = compress(apply_fn(SQUARE, h), v) - apply_fn(SQUARE, compress(h, v))
     assert psd_min_eig(gap) >= -1e-10 * (1 + spectral_norm(h) ** 2)
+
+
+# --- stacks: one call over a (k, n, n) stack equals k calls, bit for bit ----------
+
+STACK_DOMAIN = Interval(0.1, 10.0)
+SIZES = range(2, 9)
+
+
+def _streams(n, k=5):
+    return [np.random.default_rng([n, i]) for i in range(k)]
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_stacked_apply_sym_and_floor_equal_per_matrix_calls(n):
+    hs = np.stack([rand_hermitian(g, n, STACK_DOMAIN) for g in _streams(n)])
+    ms = hs + 0.1j * hs.real  # not Hermitian, so sym has work to do
+    assert np.array_equal(apply_fn(RECIP, hs), np.stack([apply_fn(RECIP, h) for h in hs]))
+    assert np.array_equal(sym(ms), np.stack([sym(m) for m in ms]))
+    mn, floor = min_eig_floor(ms - 5.0 * np.eye(n), 1e-9)
+    singles = [min_eig_floor(m - 5.0 * np.eye(n), 1e-9) for m in ms]
+    assert mn.tolist() == [s[0] for s in singles]
+    assert floor.tolist() == [s[1] for s in singles]
+
+
+SAMPLERS = {
+    "haar_unitary": lambda rng, n: haar_unitary(rng, n),
+    "rand_hermitian": lambda rng, n: rand_hermitian(rng, n, STACK_DOMAIN),
+    "rand_ordered_pair": lambda rng, n: np.stack(rand_ordered_pair(rng, n, STACK_DOMAIN),
+                                                 axis=-3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SAMPLERS))
+@pytest.mark.parametrize("n", SIZES)
+def test_samplers_over_generators_stack_the_single_draws(name, n):
+    sample = SAMPLERS[name]
+    singles, stacked = _streams(n), _streams(n)
+    expected = np.stack([sample(g, n) for g in singles])
+    assert np.array_equal(sample(stacked, n), expected)
+    # each stream is left where drawing alone leaves it
+    assert [g.uniform() for g in stacked] == [g.uniform() for g in singles]
