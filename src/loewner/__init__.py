@@ -16,7 +16,6 @@ from .classify import (
     Certificate,
     CertifyConfig,
     ClassifyResult,
-    GridConfig,
     check_convex,
     check_halfplane,
     check_loewner,

@@ -50,13 +50,16 @@ from .matcalc import (
 from .scanning import check_positive
 
 __all__ = [
-    "Certificate", "CertifyConfig", "GridConfig",
+    "Certificate", "CertifyConfig",
     "check_monotone", "check_convex", "check_strong",
     "check_loewner", "loewner_matrix", "check_halfplane",
     "classify_all", "ClassifyResult", "replay_witness",
 ]
 
 HALFPLANE_TOL = 1e-10
+HALFPLANE_RE_POINTS = 50         # real parts spanning the domain window
+HALFPLANE_IM_POINTS = 50         # imaginary parts, log-spaced over the range
+HALFPLANE_IM_RANGE = (1e-3, 10.0)
 T_DRAWS = 8                      # random Jensen weights per convexity trial
 CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
@@ -79,15 +82,6 @@ class CertifyConfig:
                 or not 0.0 <= self.tol < np.inf):
             raise ValueError(f"need integer trials, dims and seed, dims of sizes >= 2, "
                              f"seed >= 0, trials >= 0 and a finite tol >= 0, got {self}")
-
-
-@dataclass(frozen=True)
-class GridConfig:
-    re_points: int = 50
-    im_points: int = 50
-    re_window: tuple = None    # default: clipped domain window
-    im_range: tuple = (1e-3, 10.0)
-    extra_points: tuple = ()   # extra complex probes
 
 
 @dataclass(frozen=True)
@@ -337,40 +331,26 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
 
 # --- upper half-plane ----------------------------------------------------------------
 
-def check_halfplane(fn, config: CertifyConfig = CertifyConfig(),
-                    grid: GridConfig = None) -> Certificate:
+def check_halfplane(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Im f(z) on a log-spaced grid above the domain window must stay
     above -1e-10; the holomorphic extension of a monotone function maps the
     upper half-plane into itself.  A NaN or infinite f(z) raises
     NonFiniteValue."""
-    grid = grid or GridConfig()
-    if grid.re_window is not None:
-        rlo, rhi = grid.re_window
-    else:
-        win = fn.domain.clip(CLIP_LEN)
-        rlo, rhi = win.lo, win.hi
-    res = np.linspace(rlo, rhi, grid.re_points)
-    ims = np.geomspace(grid.im_range[0], grid.im_range[1], grid.im_points)
+    win = fn.domain.clip(CLIP_LEN)
+    res = np.linspace(win.lo, win.hi, HALFPLANE_RE_POINTS)
+    ims = np.geomspace(*HALFPLANE_IM_RANGE, HALFPLANE_IM_POINTS)
     zs = res[None, :] + 1j * ims[:, None]
     vals = fn.eval_complex(zs)
-    extra = [fn.eval_complex(complex(z)) for z in grid.extra_points]
-    if not (np.isfinite(vals).all() and np.isfinite(extra).all()):
+    if not np.isfinite(vals).all():
         raise NonFiniteValue("f(z) is not finite on the half-plane grid")
     imv = np.asarray(vals).imag
-    total = imv.size + len(extra)
-
     flat = np.argmin(imv)
-    worst = (float(imv.ravel()[flat]), complex(zs.ravel()[flat]))
-    for z, v in zip(grid.extra_points, extra):
-        if v.imag < worst[0]:
-            worst = (float(v.imag), complex(z))
-
-    if worst[0] < -HALFPLANE_TOL:
-        witness = {"check": "halfplane",
-                   "z": [worst[1].real, worst[1].imag], "min_eig": worst[0]}
-        return Certificate("halfplane", "fail", total, HALFPLANE_TOL,
+    worst, z = float(imv.ravel()[flat]), complex(zs.ravel()[flat])
+    if worst < -HALFPLANE_TOL:
+        witness = {"check": "halfplane", "z": [z.real, z.imag], "min_eig": worst}
+        return Certificate("halfplane", "fail", imv.size, HALFPLANE_TOL,
                            config.seed, witness)
-    return Certificate("halfplane", "pass", total, HALFPLANE_TOL, config.seed)
+    return Certificate("halfplane", "pass", imv.size, HALFPLANE_TOL, config.seed)
 
 
 # --- everything at once ---------------------------------------------------------------

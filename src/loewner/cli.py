@@ -109,6 +109,12 @@ def _value(d: dict, key: str, parse, required: bool = False):
         raise _CliFailure(EVAL_ERROR, f"bad {key!r} value {d[key]!r}: {err}") from err
 
 
+def _count(v) -> int:
+    if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+        raise ValueError("a count must be an integer >= 0")
+    return v
+
+
 def _parse_dims(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
@@ -177,8 +183,8 @@ def _cmd_pipeline(args) -> int:
     points = _value(spec, "points", lambda ps: tuple(map(float, ps)))
     if not points:
         raise _CliFailure(EVAL_ERROR, "spec is missing 'points'")
-    cycles = _value(spec, "cycles", int)
-    steps = _value(spec, "steps", int)
+    cycles = _value(spec, "cycles", _count)
+    steps = _value(spec, "steps", _count)
     shifts = _value(spec, "shifts",
                     lambda cs: [None if c is None else float(c) for c in cs])
     certify = bool(spec.get("certify", False)) or args.certify
@@ -263,26 +269,34 @@ def _cmd_measure(args) -> int:
     return 0
 
 
+def _report_entry(fn, cert_json, replay: bool) -> dict:
+    cert = _classify.Certificate.from_json(cert_json)
+    entry = {"property": cert.property, "verdict": cert.verdict,
+             "trials": cert.trials}
+    if replay and cert.witness is not None:
+        stored = float(cert.witness["min_eig"])
+        replayed = _classify.replay_witness(fn, cert)
+        entry["replay"] = {
+            "stored": stored, "replayed": replayed,
+            "match": bool(abs(replayed - stored) <= 1e-8 * (1 + abs(stored))),
+        }
+    return entry
+
+
 def _cmd_report(args) -> int:
     spec = _load_spec(args.spec)
     fn = _function_from(spec)
     result = spec.get("result")
-    if not result or "certificates" not in result:
+    if not isinstance(result, dict) or not isinstance(result.get("certificates"), dict):
         raise _CliFailure(EVAL_ERROR, "spec carries no 'result.certificates' "
                                       "(point --spec at a classify output)")
     report = {"verdicts": {}, "flags": result.get("flags", [])}
     for name, cert_json in sorted(result["certificates"].items()):
-        cert = _classify.Certificate.from_json(cert_json)
-        entry = {"property": cert.property, "verdict": cert.verdict,
-                 "trials": cert.trials}
-        if args.replay and cert.witness is not None:
-            replayed = _classify.replay_witness(fn, cert)
-            stored = cert.witness.get("min_eig")
-            entry["replay"] = {
-                "stored": stored, "replayed": replayed,
-                "match": bool(abs(replayed - stored) <= 1e-8 * (1 + abs(stored))),
-            }
-        report["verdicts"][name] = entry
+        try:
+            report["verdicts"][name] = _report_entry(fn, cert_json, args.replay)
+        except (LookupError, TypeError, ValueError) as err:
+            raise _CliFailure(EVAL_ERROR, f"bad certificate {name!r}: "
+                                          f"{type(err).__name__}: {err}") from err
     _write_json(args.out, "report.json", report)
     return 0
 

@@ -16,10 +16,6 @@ class DomainError(LoewnerError):
     """Evaluation point lies outside the function's domain."""
 
 
-class BranchError(LoewnerError):
-    """A power node received a negative base during evaluation."""
-
-
 class UnsupportedNode(LoewnerError):
     """The node has no declared holomorphic extension."""
 
@@ -60,7 +56,7 @@ class NoFiniteLimit(LoewnerError):
 
 
 class OutsideClosure(LoewnerError):
-    """Center point is not in the closure of the function's domain."""
+    """A point is not in the closure of the function's domain."""
 
 
 class NotPositive(LoewnerError):

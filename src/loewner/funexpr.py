@@ -25,10 +25,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BranchError, DomainError, OutsideClosure, UnsupportedNode
+from .errors import DomainError, EmptyDomain, OutsideClosure, UnsupportedNode
 from .interval import REAL_LINE, Interval
-from .measures import eval_form, form_sum, rep_from_json, rep_to_json
-from .scanning import endpoint_limit, scan_grid
+from .measures import form_sum, rep_from_json, rep_to_json
+from .scanning import closure_value, scan_grid
 
 __all__ = [
     "FunctionExpr", "Constant", "Affine", "Power", "Reciprocal", "Catalog",
@@ -61,7 +61,8 @@ class FunctionExpr:
     """Base class: evaluation entry points with domain checking.
 
     Subclasses provide ``domain`` (field or property) plus the unchecked
-    array kernels ``_val`` / ``_cval`` / ``_dval``.
+    array kernels ``_val`` / ``_cval`` / ``_dval``: plain formulas, called only
+    on points of the domain (``Compose`` checks what it hands its outer node).
     """
 
     kind = "abstract"
@@ -165,7 +166,8 @@ def identity(domain: Interval = REAL_LINE) -> Affine:
 @dataclass(frozen=True)
 class Power(FunctionExpr):
     """x^alpha.  Natural domain: all reals for integer alpha >= 0, (0, inf)
-    for negative alpha, [0, inf) for non-integer positive alpha."""
+    for negative alpha, [0, inf) for non-integer positive alpha.  A negative
+    integer power may also live on an interval left of 0."""
 
     alpha: float
     domain: Interval = None
@@ -182,35 +184,23 @@ class Power(FunctionExpr):
             natural = Interval(0.0, math.inf, lo_closed=True)
         if self.domain is None:
             object.__setattr__(self, "domain", natural)
-        elif not (alpha < 0 and alpha.is_integer() and self.domain.hi <= 0):
-            # negative-integer powers are also fine on intervals left of 0
-            if not natural.contains_interval(self.domain):
-                raise DomainError(
-                    f"domain {self.domain} not within natural domain {natural}")
-
-    @property
-    def _integer(self) -> bool:
-        return self.alpha.is_integer()
+        elif not (natural.contains_interval(self.domain)
+                  or (alpha < 0 and alpha.is_integer()
+                      and Interval(-math.inf, 0.0).contains_interval(self.domain))):
+            raise DomainError(
+                f"domain {self.domain} not within natural domain {natural}")
 
     def _val(self, xs):
-        if not self._integer and np.any(xs < 0):
-            bad = xs[xs < 0].ravel()[0]
-            raise BranchError(f"negative base {bad!r} for exponent {self.alpha}")
-        if self.alpha < 0 and np.any(xs == 0):
-            raise DomainError(f"zero base for exponent {self.alpha}")
         return np.power(xs, self.alpha)
 
     def _cval(self, zs):
-        if self._integer:
+        if self.alpha.is_integer():
             return np.power(zs, int(self.alpha))
         return np.exp(self.alpha * np.log(zs))  # principal branch
 
     def _dval(self, xs):
         if self.alpha == 0:
             return np.zeros_like(xs)
-        if not self._integer and np.any(xs < 0):
-            bad = xs[xs < 0].ravel()[0]
-            raise BranchError(f"negative base {bad!r} for exponent {self.alpha}")
         return self.alpha * np.power(xs, self.alpha - 1.0)
 
 
@@ -226,8 +216,6 @@ class Reciprocal(FunctionExpr):
             raise DomainError(f"domain {self.domain} contains the pole at 0")
 
     def _val(self, xs):
-        if np.any(xs == 0):
-            raise DomainError("reciprocal evaluated at 0")
         return 1.0 / xs
 
     def _cval(self, zs):
@@ -304,11 +292,7 @@ class Catalog(FunctionExpr):
         return dict(self.params)
 
     def _val(self, xs):
-        entry = CATALOG[self.name]
-        nat = entry.domain_fn(self._p)
-        if np.any(xs < nat.lo) or np.any(xs > nat.hi):
-            raise BranchError(f"{self.name} evaluated outside {nat}")
-        return entry.val(self._p, xs)
+        return CATALOG[self.name].val(self._p, xs)
 
     def _cval(self, zs):
         entry = CATALOG[self.name]
@@ -328,16 +312,16 @@ class Catalog(FunctionExpr):
 
 def _trim(coeffs) -> tuple:
     out = [float(c) for c in coeffs]
-    while len(out) > 1 and out[-1] == 0.0:
+    while out and out[-1] == 0.0:
         out.pop()
-    return tuple(out)
+    return tuple(out) or (0.0,)
 
 
 @dataclass(frozen=True)
 class Quotient(FunctionExpr):
     """Ratio of polynomials, coefficients ascending.  The denominator is
-    scanned on a 1001-point grid at construction; an exact zero or a sign
-    change (a pole inside the domain) is rejected."""
+    scanned on a 1001-point grid at construction; an exact zero, a sign
+    change (a pole inside the domain) or the zero polynomial is rejected."""
 
     num: tuple
     den: tuple
@@ -347,7 +331,7 @@ class Quotient(FunctionExpr):
     def __post_init__(self):
         num, den = _trim(self.num), _trim(self.den)
         if den == (0.0,):
-            raise ZeroDivisionError("zero denominator polynomial")
+            raise EmptyDomain("zero denominator polynomial")
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         if len(den) > 1:
@@ -382,9 +366,8 @@ class Quotient(FunctionExpr):
 
 @dataclass(frozen=True)
 class MeasureForm(FunctionExpr):
-    """A discrete-measure form (OMRep, OCRep or SOCRep) as a leaf.  The real
-    channel checks the form's interval, so a Compose with this outer raises
-    DomainError when the inner value leaves it."""
+    """A discrete-measure form (OMRep, OCRep or SOCRep) as a leaf on the
+    form's interval."""
 
     rep: object
 
@@ -397,7 +380,7 @@ class MeasureForm(FunctionExpr):
         return self.rep.interval
 
     def _val(self, xs):
-        return np.asarray(eval_form(self.rep, xs))
+        return np.asarray(form_sum(self.rep, xs))
 
     def _cval(self, zs):
         return np.asarray(form_sum(self.rep, zs))
@@ -432,18 +415,9 @@ class DiffQuot(FunctionExpr):
     kind = "diffquot"
 
     def __post_init__(self):
-        x0 = float(self.x0)
-        object.__setattr__(self, "x0", x0)
-        if not math.isfinite(x0):
-            raise OutsideClosure(f"center {x0} is not finite")
-        cdom = self.child.domain
-        if cdom.contains(x0):
-            center = self.child.eval_real(x0)
-        elif cdom.closure_contains(x0):
-            center = endpoint_limit(self.child.eval_real, cdom, x0)
-        else:
-            raise OutsideClosure(f"center {x0} outside the closure of {cdom}")
-        object.__setattr__(self, "center_value", float(center))
+        object.__setattr__(self, "x0", float(self.x0))
+        object.__setattr__(self, "center_value",
+                           float(closure_value(self.child, self.x0)))
 
     @property
     def domain(self) -> Interval:
@@ -529,8 +503,6 @@ class MulLinear(FunctionExpr):
     def __post_init__(self):
         object.__setattr__(self, "x0", float(self.x0))
         object.__setattr__(self, "c", float(self.c))
-        if not math.isfinite(self.x0):
-            raise OutsideClosure(f"anchor {self.x0} is not finite")
         if not self.child.domain.closure_contains(self.x0):
             raise OutsideClosure(
                 f"anchor {self.x0} outside the closure of {self.child.domain}")
@@ -551,9 +523,9 @@ class MulLinear(FunctionExpr):
 
 @dataclass(frozen=True)
 class Compose(FunctionExpr):
-    """outer(inner(x)) on inner's domain.  Whether inner's range lies inside
-    outer's domain is a semantic condition checked by the transform layer,
-    not here; raw evaluation applies outer's formula to whatever comes out."""
+    """outer(inner(x)) on inner's domain.  Both real channels raise
+    DomainError where an inner value falls outside outer's domain; that
+    inner's whole range lies inside it is checked by the transform layer."""
 
     outer: FunctionExpr
     inner: FunctionExpr
@@ -563,15 +535,23 @@ class Compose(FunctionExpr):
     def domain(self) -> Interval:
         return self.inner.domain
 
+    def _handoff(self, xs):
+        """inner's values at xs, each a point of outer's domain."""
+        vs = np.asarray(self.inner._val(xs), dtype=float)
+        ok = self.outer.domain.mask(vs)
+        if not np.all(ok):
+            raise DomainError(f"inner value {vs[~ok].ravel()[0]!r} outside "
+                              f"the outer domain {self.outer.domain}")
+        return vs
+
     def _val(self, xs):
-        return self.outer._val(np.asarray(self.inner._val(xs), dtype=float))
+        return self.outer._val(self._handoff(xs))
 
     def _cval(self, zs):
         return self.outer._cval(np.asarray(self.inner._cval(zs), dtype=complex))
 
     def _dval(self, xs):
-        inner_v = np.asarray(self.inner._val(xs), dtype=float)
-        return self.outer._dval(inner_v) * self.inner._dval(xs)
+        return self.outer._dval(self._handoff(xs)) * self.inner._dval(xs)
 
 
 # --- JSON ------------------------------------------------------------------------

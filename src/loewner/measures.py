@@ -426,6 +426,8 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
     two-point Richardson extrapolation in eps to remove the O(eps) window
     leakage.  ``side`` = "-" flips the sign for left-measure atoms.
     """
+    if len(window) != 2:
+        raise BadMeasureInput(f"window must be a pair (lo, hi), got {window!r}")
     lo, hi = float(window[0]), float(window[1])
     if side not in ("+", "-"):
         raise BadMeasureInput(f"side must be '+' or '-', got {side!r}")

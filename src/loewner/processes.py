@@ -126,6 +126,23 @@ def rational_degree_of(fn: FunctionExpr):
         return None
 
 
+def _inputs(points, name: str, count, default) -> tuple:
+    """(points as a tuple of floats, the stage count ``name``): at least one
+    point, and a count >= 0, ``default(points)`` when None."""
+    points = tuple(float(p) for p in points)
+    if not points:
+        raise ValueError("need at least one anchor point")
+    if count is None:
+        return points, default(points)
+    if count < 0:
+        raise ValueError(f"{name} must be >= 0, got {count}")
+    return points, count
+
+
+def _half(points: tuple) -> int:
+    return max(1, math.ceil(len(points) / 2))
+
+
 def main_cycle(f0: FunctionExpr, points, cycles: int = None,
                certify: bool = False,
                config: CertifyConfig = CertifyConfig()) -> PipelineRun:
@@ -134,11 +151,7 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
     Each cycle consumes two anchors (cyclically).  Stages are indexed
     f_0, f_1, f_2, ... with labels OM, SOC, OC, OM, SOC, OC, ...
     """
-    points = tuple(float(p) for p in points)
-    if not points:
-        raise ValueError("need at least one anchor point")
-    if cycles is None:
-        cycles = max(1, math.ceil(len(points) / 2))
+    points, cycles = _inputs(points, "cycles", cycles, _half)
     anchors = itertools.cycle(points)
 
     stages = [_certify(PipelineStage(0, "OM", f0), certify, config)]
@@ -188,11 +201,7 @@ def star_process(f0: FunctionExpr, points, steps: int = None,
     Runs through identically-zero stages without terminating (a zero is a
     fixed point of the difference quotient, not an error here).
     """
-    points = tuple(float(p) for p in points)
-    if not points:
-        raise ValueError("need at least one anchor point")
-    if steps is None:
-        steps = len(points)
+    points, steps = _inputs(points, "steps", steps, len)
 
     stages = [_certify(PipelineStage(0, "OM", f0), certify, config)]
     for k in range(steps):
@@ -214,11 +223,7 @@ def backward_process(f0: FunctionExpr, points, shifts=None,
     next linear factor (shift defaults to 0).  Stages are indexed 0, -1,
     -2, ... with labels OM, OC, SOC, OM, ...
     """
-    points = tuple(float(p) for p in points)
-    if not points:
-        raise ValueError("need at least one anchor point")
-    if cycles is None:
-        cycles = max(1, math.ceil(len(points) / 2))
+    points, cycles = _inputs(points, "cycles", cycles, _half)
     shifts = list(shifts) if shifts is not None else []
     anchors = enumerate(itertools.cycle(points))
 

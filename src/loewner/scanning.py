@@ -14,7 +14,8 @@ import math
 
 import numpy as np
 
-from .errors import NoFiniteLimit, NotNegative, NotPositive, Unbounded, ZeroFunction
+from .errors import (NoFiniteLimit, NonFiniteValue, NotNegative, NotPositive,
+                     OutsideClosure, Unbounded, ZeroFunction)
 from .interval import Interval
 
 SCAN_POINTS = 1001
@@ -69,6 +70,19 @@ def endpoint_limit(fn, domain: Interval, endpoint: float) -> float:
     return vals[-1]
 
 
+def closure_value(fn, x: float) -> float:
+    """fn at a point x of the closure of its domain: its value inside the
+    domain, ``endpoint_limit`` at an excluded finite endpoint.  Raises
+    OutsideClosure anywhere else (NaN and +-inf included) and NoFiniteLimit
+    where the limit diverges."""
+    dom = fn.domain
+    if dom.contains(x):
+        return fn.eval_real(x)
+    if not dom.closure_contains(x):
+        raise OutsideClosure(f"{x} is not in the closure of {dom}")
+    return endpoint_limit(fn.eval_real, dom, x)
+
+
 def _grid_values(fn, domain: Interval, n: int, window: float):
     xs = scan_grid(domain, n, window)
     return xs, np.asarray(fn(xs), dtype=float)
@@ -82,25 +96,23 @@ def is_zero_on_grid(fn, domain: Interval, tol: float = ZERO_TOL) -> bool:
 def check_positive(fn, domain: Interval) -> None:
     """Positivity scan backing the negative-reciprocal transform.
 
-    Requires fn > 0 at every grid point; at finite open endpoints only the
-    limit is constrained (it may be 0 but not negative).  Raises ZeroFunction
-    when the function vanishes identically, NotPositive otherwise.
+    Requires fn > 0 at every point of ``scan_grid``, which holds the approach
+    points ``endpoint_limit`` reads at a finite open endpoint; the limit there
+    may be 0.  On a finite domain wider than SCAN_WINDOW the window keeps the
+    lower end, and the far end is not sampled.  Raises NonFiniteValue on a NaN
+    or infinite grid value, ZeroFunction when the function vanishes
+    identically, NotPositive otherwise.
     """
     xs, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
+    odd = np.flatnonzero(~np.isfinite(vals))
+    if odd.size:
+        raise NonFiniteValue(f"value {vals[odd[0]]} at x={xs[odd[0]]!r} on the scan grid")
     if np.all(np.abs(vals) <= ZERO_TOL):
         raise ZeroFunction("function is identically zero on the scan grid")
     bad = np.flatnonzero(vals <= 0.0)
     if bad.size:
         i = int(bad[np.argmin(vals[bad])])
         raise NotPositive(float(xs[i]), float(vals[i]))
-    for end, closed in ((domain.lo, domain.lo_closed), (domain.hi, domain.hi_closed)):
-        if math.isfinite(end) and not closed:
-            try:
-                lim = endpoint_limit(fn, domain, end)
-            except NoFiniteLimit:
-                continue  # blow-up at an excluded endpoint cannot be negative here: grid saw it
-            if lim < -1e-10 * (1.0 + abs(lim)):
-                raise NotPositive(end, lim)
 
 
 def check_negative(fn, domain: Interval) -> None:

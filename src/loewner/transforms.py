@@ -23,9 +23,9 @@ from .classify import (
     check_monotone,
     check_strong,
 )
-from .errors import HypothesisViolated, NoFiniteLimit
+from .errors import HypothesisViolated, NoFiniteLimit, OutsideClosure
 from .funexpr import Compose, DiffQuot, FunctionExpr, MulLinear, NegRecip
-from .scanning import check_bounded, check_negative, check_positive, endpoint_limit, scan_grid
+from .scanning import check_bounded, check_negative, check_positive, closure_value, scan_grid
 
 __all__ = [
     "diff_quotient", "neg_reciprocal", "mul_linear", "choose_shift",
@@ -116,16 +116,12 @@ def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,
 
     odom = outer.domain
     if mode == "strong":
-        if odom.contains(0.0):
-            at_zero = outer.eval_real(0.0)
-        elif odom.closure_contains(0.0):
-            try:
-                at_zero = endpoint_limit(outer.eval_real, odom, 0.0)
-            except NoFiniteLimit as err:
-                raise HypothesisViolated("outer-value-at-zero", str(err)) from err
-        else:
-            raise HypothesisViolated("outer-domain",
-                                     f"0 not in the closure of {odom}")
+        try:
+            at_zero = closure_value(outer, 0.0)
+        except OutsideClosure as err:
+            raise HypothesisViolated("outer-domain", str(err)) from err
+        except NoFiniteLimit as err:
+            raise HypothesisViolated("outer-value-at-zero", str(err)) from err
         if at_zero < -1e-12:
             raise HypothesisViolated("outer-value-at-zero",
                                      f"outer(0) = {at_zero} < 0")

@@ -8,7 +8,6 @@ from loewner import (
     CertifyConfig,
     Constant,
     DiffQuot,
-    GridConfig,
     Interval,
     Power,
     Quotient,
@@ -187,20 +186,12 @@ def test_sqrt_passes_halfplane():
 
 
 def test_square_halfplane_witness_is_the_grid_corner():
-    grid = GridConfig(re_window=(-1.0, 1.0), im_range=(1e-3, 1.0))
-    cert = check_halfplane(SQUARE, QUICK, grid)
+    # Im z^2 = 2xy is lowest at the corner x = -10 (window (-10, 10)), y = 10
+    cert = check_halfplane(SQUARE, QUICK)
     assert cert.verdict == "fail"
-    assert cert.witness["z"] == [-1.0, 1.0]
-    assert cert.witness["min_eig"] == pytest.approx(-2.0, abs=1e-12)
-    assert abs(replay_witness(SQUARE, cert) - (-2.0)) < REPLAY_TOL
-
-
-def test_halfplane_extra_points_can_take_over():
-    grid = GridConfig(re_window=(0.1, 1.0), im_range=(1e-3, 1.0),
-                      extra_points=(complex(-5.0, 2.0),))
-    cert = check_halfplane(SQUARE, QUICK, grid)
-    assert cert.verdict == "fail"
-    assert cert.witness["z"] == [-5.0, 2.0]  # Im = -20, worse than the grid
+    assert cert.witness["z"] == [-10.0, 10.0]
+    assert cert.witness["min_eig"] == pytest.approx(-200.0, abs=1e-10)
+    assert abs(replay_witness(SQUARE, cert) - (-200.0)) < REPLAY_TOL
 
 
 # --- non-finite values ------------------------------------------------------------------
@@ -222,12 +213,6 @@ def test_overflowing_jensen_gap_raises_instead_of_passing():
 def test_nan_function_raises_in_every_check(check):
     with pytest.raises(NonFiniteValue):
         check(NAN, QUICK)
-
-
-def test_non_finite_halfplane_extra_point_raises():
-    grid = GridConfig(extra_points=(complex(np.inf, 1.0),))  # sqrt gives inf + nan i
-    with np.errstate(invalid="ignore"), pytest.raises(NonFiniteValue):
-        check_halfplane(SQRT, QUICK, grid)
 
 
 # --- aggregate --------------------------------------------------------------------------
@@ -264,6 +249,19 @@ def test_classify_all_marks_missing_holomorphic_extension_inconclusive(monkeypat
     fn = Catalog("real_only")
     result = classify_all(fn, QUICK)
     assert result.certificates["halfplane"].verdict == "inconclusive"
+
+
+@pytest.mark.parametrize("verdicts, flag", [
+    ({"strong": "pass", "convex": "fail"}, "strong-pass-but-convex-fail"),
+    ({"monotone": "pass", "loewner": "fail"}, "monotone-pass-but-loewner-fail"),
+    ({"monotone": "pass", "halfplane": "fail"}, "monotone-pass-but-halfplane-fail"),
+], ids=["strong-convex", "monotone-loewner", "monotone-halfplane"])
+def test_classify_all_flags_a_broken_implication(monkeypatch, verdicts, flag):
+    from loewner import classify
+    for name in ("monotone", "convex", "strong", "loewner", "halfplane"):
+        cert = Certificate(name, verdicts.get(name, "inconclusive"), 0, 1e-9, 0)
+        monkeypatch.setattr(classify, f"check_{name}", lambda fn, config, c=cert: c)
+    assert classify_all(SQRT, QUICK).flags == (flag,)
 
 
 # --- certificates ------------------------------------------------------------------------

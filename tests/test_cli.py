@@ -173,8 +173,10 @@ def test_invalid_function_domain_is_eval_error(tmp_path, capsys):
      "domain": {"lo": 0.0, "hi": 1.0, "lo_closed": "false"}},
     {"kind": "quotient", "num": [1.0, 2.0]},
     {"kind": "constant", "c": float("nan")},   # json.dumps writes NaN
+    {"kind": "quotient", "num": [1.0], "den": [0, 0]},
+    {"kind": "quotient", "num": [1.0], "den": []},
 ], ids=["catalog-params-list", "interval-flag-string", "quotient-no-den",
-        "constant-nan"])
+        "constant-nan", "quotient-den-zero", "quotient-den-empty"])
 def test_malformed_function_spec_is_eval_error(tmp_path, capsys, function):
     spec = write_spec(tmp_path, {"function": function, "config": FAST})
     out = tmp_path / "o"
@@ -212,6 +214,17 @@ def test_pipeline_backward_records_shifts(tmp_path):
     assert stages[-3]["shift"] == 0.0
 
 
+def test_pipeline_star_artifacts(tmp_path):
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "process": "star",
+                                 "points": [1.0, 0.0], "steps": 2})
+    out = tmp_path / "out"
+    assert main(["pipeline", "--spec", spec, "--out", str(out)]) == 0
+    run = read_json(out, "pipeline.json")["run"]
+    assert run["kind"] == "star" and run["status"] == "completed"
+    assert [s["label"] for s in run["stages"]] == ["OM", "SOC", "OM"]
+    assert [s.get("point") for s in run["stages"]] == [None, 1.0, 0.0]
+
+
 def test_pipeline_missing_points_is_eval_error(tmp_path):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "process": "main"})
     assert main(["pipeline", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -229,7 +242,13 @@ def test_pipeline_unknown_process_is_eval_error(tmp_path):
     {"cycles": "x"},
     {"process": "star", "steps": "x"},
     {"process": "backward", "shifts": ["q"]},
-], ids=["points", "points-scalar", "cycles", "steps", "shifts"])
+    {"cycles": -1},
+    {"process": "star", "steps": -1},
+    {"cycles": 2.5},
+    {"cycles": True},
+    {"process": "star", "steps": "2"},
+], ids=["points", "points-scalar", "cycles", "steps", "shifts", "cycles-negative",
+        "steps-negative", "cycles-float", "cycles-bool", "steps-string"])
 def test_malformed_pipeline_field_is_eval_error(tmp_path, capsys, field):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "process": "main",
                                  "points": [1.0, 0.0], **field})
@@ -339,10 +358,11 @@ def oc_rep_off_zero():
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5], "side": "x"}),
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5], "eps": ["a", "b"]}),
     ("oc", oc_rep_off_zero, {"op": "substitute_square"}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.5]}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
-        "square-x0-off-zero"])
+        "square-x0-off-zero", "recover-window-short"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),
@@ -397,3 +417,23 @@ def test_report_replays_witnesses(tmp_path):
 def test_report_requires_classify_result(tmp_path):
     spec = write_spec(tmp_path, {"function": to_json(SQUARE)})
     assert main(["report", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+
+
+MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
+        "tolerance": 1e-9, "seed": 0}
+
+
+@pytest.mark.parametrize("certificates", [
+    {"monotone": {k: v for k, v in MONO.items() if k != "trials"}},
+    {"monotone": {**MONO, "witness": {"check": "bogus", "min_eig": -1.0}}},
+    {"halfplane": {**MONO, "property": "halfplane",
+                   "witness": {"check": "halfplane", "z": [-1.0, 1.0]}}},
+    [MONO],
+], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list"])
+def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, certificates):
+    spec = write_spec(tmp_path, {"function": to_json(SQUARE),
+                                 "result": {"certificates": certificates}})
+    out = tmp_path / "o"
+    assert main(["report", "--spec", spec, "--out", str(out), "--replay"]) == 3
+    assert capsys.readouterr().err.startswith("loewner: ")
+    assert not (out / "report.json").exists()

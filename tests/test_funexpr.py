@@ -9,19 +9,23 @@ from loewner import (
     Compose,
     Constant,
     DiffQuot,
+    DiscreteMeasure,
     Interval,
+    MeasureForm,
     MulLinear,
     NegRecip,
     Power,
     Quotient,
     REAL_LINE,
     Reciprocal,
+    SOCRep,
     from_json,
     identity,
     to_json,
 )
 from loewner.errors import (
     DomainError,
+    EmptyDomain,
     NoFiniteLimit,
     OutsideClosure,
     UnsupportedNode,
@@ -56,6 +60,13 @@ def test_power_negative_exponent_on_negative_axis():
 def test_power_requires_domain_inside_natural_one():
     with pytest.raises(DomainError):
         Power(-1.0, Interval(-1.0, 1.0))  # pole at 0 inside
+
+
+def test_power_rejects_a_negative_integer_power_at_zero():
+    # the pole may not sit at a closed end either: no kernel would catch it
+    with pytest.raises(DomainError):
+        Power(-1.0, Interval(-1.0, 0.0, hi_closed=True))
+    assert Power(-1.0, Interval(-1.0, 0.0)).eval_real(-0.5) == -2.0
 
 
 def test_domain_violation_raises():
@@ -130,6 +141,13 @@ def test_quotient_eval_and_pole_rejection():
         Quotient((1.0,), (1.0, 1.0), Interval(-2.0, 0.0))  # pole at -1 inside
 
 
+def test_quotient_zero_or_empty_denominator_is_empty_domain():
+    for den in ((0.0, 0.0), ()):
+        with pytest.raises(EmptyDomain):
+            Quotient((1.0,), den)
+    assert Quotient((), (1.0,)).eval_real(2.0) == 0.0  # () is the zero polynomial
+
+
 # --- transform nodes --------------------------------------------------------------
 
 def test_diffquot_values_and_center_fill():
@@ -180,6 +198,45 @@ def test_mullinear_eval():
 def test_mullinear_anchor_must_touch_closure():
     with pytest.raises(OutsideClosure):
         MulLinear(Reciprocal(Interval(0.1, 10.0)), 99.0)
+
+
+def test_mullinear_complex_and_derivative_channels():
+    f = MulLinear(Power(0.5), 1.0, -3.0)  # sqrt(x)(x - 1) - 3
+    z = complex(4.0, 1.0)
+    assert abs(f.eval_complex(z) - (np.sqrt(z) * (z - 1.0) - 3.0)) < 1e-12
+    assert abs(f.eval_deriv(4.0) - (0.25 * 3.0 + 2.0)) < DERIV_TOL
+
+
+def test_compose_complex_and_derivative_channels():
+    f = Compose(Power(2.0), Affine(2.0, 1.0))  # (2x + 1)^2
+    z = complex(0.5, 0.25)
+    assert abs(f.eval_complex(z) - (2.0 * z + 1.0) ** 2) < 1e-12
+    assert abs(f.eval_deriv(0.5) - 8.0) < DERIV_TOL
+
+
+ON_HALF_TO_TWO = Interval(0.5, 2.0)
+OUTER_LEAVES = [
+    Constant(1.0, ON_HALF_TO_TWO),
+    Affine(2.0, 1.0, ON_HALF_TO_TWO),
+    Power(0.5, ON_HALF_TO_TWO),
+    Reciprocal(ON_HALF_TO_TWO),
+    Catalog("log", (), ON_HALF_TO_TWO),
+    Quotient((1.0,), (3.0, -1.0), ON_HALF_TO_TWO),
+    MeasureForm(SOCRep(a=1.0, mu_plus=DiscreteMeasure(((4.0, 1.0),)),
+                       mu_minus=DiscreteMeasure(()), interval=ON_HALF_TO_TWO)),
+]
+
+
+@pytest.mark.parametrize("outer", OUTER_LEAVES, ids=lambda f: f.kind)
+def test_compose_raises_where_an_inner_value_leaves_the_outer_domain(outer):
+    f = Compose(outer, identity(Interval(0.0, 5.0)))
+    assert f.eval_real(1.0) == outer.eval_real(1.0)
+    assert f.eval_deriv(1.0) == outer.eval_deriv(1.0)
+    for channel in (f.eval_real, f.eval_deriv):
+        with pytest.raises(DomainError):
+            channel(3.0)
+        with pytest.raises(DomainError):
+            channel(np.array([1.0, 0.25]))
 
 
 def test_compose_is_formulaic():

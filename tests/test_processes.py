@@ -7,6 +7,7 @@ import pytest
 
 from loewner import (
     CertifyConfig,
+    Constant,
     Interval,
     PipelineRun,
     Power,
@@ -85,6 +86,20 @@ def test_main_cycle_identity_terminates_at_zero():
         fk = run.stage(k).expr
         assert all(fk.eval_real(x) == 0.0 for x in np.linspace(-3.0, 3.0, 50))
     assert run.final is run.stage(4).expr
+
+
+def test_main_cycle_constant_seed_stops_at_the_soc_stage():
+    run = main_cycle(Constant(2.0, Interval(0.0, 3.0)), (1.0, 2.0), cycles=3)
+    assert run.status == "terminated_zero"
+    assert [s.label for s in run.stages] == ["OM", "SOC"]
+
+
+@pytest.mark.parametrize("process, counts", [
+    (main_cycle, {"cycles": -2}), (star_process, {"steps": -1}),
+    (backward_process, {"cycles": -1})], ids=["main", "star", "backward"])
+def test_negative_stage_counts_are_rejected(process, counts):
+    with pytest.raises(ValueError):
+        process(SQRT, (1.0,), **counts)
 
 
 def test_main_cycle_mobius_terminates_rational():

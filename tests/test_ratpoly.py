@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,13 +11,17 @@ from loewner import (
     Compose,
     Constant,
     DiffQuot,
+    DiscreteMeasure,
     Interval,
+    MeasureForm,
     MulLinear,
     NegRecip,
+    OCRep,
     Power,
     Quotient,
     RationalFunction,
     Reciprocal,
+    SOCRep,
     as_rational,
     identity,
     rational_degree,
@@ -134,3 +139,28 @@ def test_rational_degree_of_expressions():
     # the pipeline-facing variant maps that to None
     from loewner.processes import rational_degree_of
     assert rational_degree_of(Power(0.5)) is None
+
+
+def _random_rep(rng, kind):
+    """A random convex or strong form on (-1, 1), 0-2 atoms a side."""
+    def atoms(lo, hi):
+        return DiscreteMeasure(tuple((float(rng.uniform(lo, hi)), float(rng.uniform(0.1, 2.0)))
+                                     for _ in range(rng.integers(0, 3))))
+
+    plus, minus = atoms(1.0, 4.0), atoms(-4.0, -1.0)
+    a = float(rng.uniform(0.0, 1.0))
+    if kind == "soc":
+        return SOCRep(a=a, mu_plus=plus, mu_minus=minus, interval=Interval(-1.0, 1.0))
+    b, c, x0 = (float(v) for v in rng.uniform(-1.0, 1.0, 3))
+    return OCRep(a=a, b=b, c=c, x0=0.5 * x0, mu_plus=plus, mu_minus=minus,
+                 interval=Interval(-1.0, 1.0))
+
+
+@pytest.mark.parametrize("kind", ["oc", "soc"])
+def test_form_rational_agrees_with_the_form(kind):
+    rng = np.random.default_rng(7)
+    for _ in range(40):
+        rep = _random_rep(rng, kind)
+        rat = as_rational(MeasureForm(rep))
+        for x in (Fraction(-3, 4), Fraction(1, 3), Fraction(5, 7)):
+            assert abs(float(rat(x)) - rep(float(x))) <= 1e-12 * (1.0 + abs(rep(float(x))))

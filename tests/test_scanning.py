@@ -2,12 +2,21 @@ import numpy as np
 import pytest
 
 from loewner import Affine, Constant, Interval, Power, Reciprocal, identity
-from loewner.errors import NotNegative, NotPositive, Unbounded, ZeroFunction
+from loewner.errors import (
+    NoFiniteLimit,
+    NonFiniteValue,
+    NotNegative,
+    NotPositive,
+    OutsideClosure,
+    Unbounded,
+    ZeroFunction,
+)
 from loewner.scanning import (
     SCAN_POINTS,
     check_bounded,
     check_negative,
     check_positive,
+    closure_value,
     endpoint_limit,
     is_zero_on_grid,
     scan_grid,
@@ -92,3 +101,47 @@ def test_check_bounded_rejects_growth_at_infinity():
     f = identity(Interval(0.0, np.inf))
     with pytest.raises(Unbounded):
         check_bounded(f, f.domain)
+
+
+def test_closure_value_inside_at_an_open_end_and_outside():
+    f = Power(0.5, Interval(1.0, 4.0, hi_closed=True))
+    assert closure_value(f, 4.0) == 2.0
+    assert closure_value(f, 1.0) == endpoint_limit(f, f.domain, 1.0)
+    for x in (0.5, 5.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(OutsideClosure):
+            closure_value(f, x)
+    with pytest.raises(NoFiniteLimit):
+        closure_value(Reciprocal(Interval(0.0, 1.0)), 0.0)
+
+
+def _limit_probes(domain, end):
+    seen = []
+    endpoint_limit(lambda x: seen.append(x) or 1.0, domain, end)
+    return seen
+
+
+@pytest.mark.parametrize("domain", [
+    Interval(0.0, 1.0), Interval(-3.0, 7.5, lo_closed=True), Interval(1e-3, 9e5),
+    Interval(0.0, np.inf), Interval(-np.inf, 2.0)])
+def test_scan_grid_holds_every_endpoint_limit_probe(domain):
+    # why check_positive reads no limit apart: its grid already has the points
+    xs = set(scan_grid(domain).tolist())
+    for end, closed in ((domain.lo, domain.lo_closed), (domain.hi, domain.hi_closed)):
+        if np.isfinite(end) and not closed:
+            assert set(_limit_probes(domain, end)) <= xs
+
+
+def test_scan_grid_of_a_domain_wider_than_the_window_misses_the_far_end():
+    wide = Interval(0.0, 3e6)
+    xs = set(scan_grid(wide).tolist())
+    assert set(_limit_probes(wide, 0.0)) <= xs
+    assert not set(_limit_probes(wide, 3e6)) & xs
+
+
+@pytest.mark.parametrize("c", [np.nan, np.inf, -np.inf])
+def test_sign_scans_reject_non_finite_values(c):
+    f = Constant(c, Interval(0.0, 1.0))
+    with pytest.raises(NonFiniteValue):
+        check_positive(f, f.domain)
+    with pytest.raises(NonFiniteValue):
+        check_negative(f, f.domain)

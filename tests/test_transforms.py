@@ -146,6 +146,13 @@ def test_compose_convex_mode_rejects_zero_right_of_domain():
     assert exc.value.clause == "outer-domain"
 
 
+def test_compose_strong_mode_rejects_zero_outside_the_closure():
+    outer = Affine(1.0, 0.0, Interval(1.0, 2.0))
+    with pytest.raises(HypothesisViolated) as exc:
+        compose_checked(outer, RECIP, "strong", QUICK)
+    assert exc.value.clause == "outer-domain"
+
+
 def test_compose_rejects_range_mismatch():
     outer = Power(0.5)  # needs nonnegative inputs
     inner = Affine(1.0, -5.0, Interval(0.0, 3.0))  # range (-5, -2)
