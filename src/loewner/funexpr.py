@@ -25,7 +25,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, EmptyDomain, OutsideClosure, UnsupportedNode
+from .errors import (
+    DomainError,
+    EmptyDomain,
+    NonFiniteValue,
+    OutsideClosure,
+    UnsupportedNode,
+)
 from .interval import REAL_LINE, Interval
 from .measures import form_sum, rep_from_json, rep_to_json
 from .scanning import closure_value, scan_grid
@@ -92,6 +98,10 @@ class FunctionExpr:
             bad = xs[~(lo_ok & hi_ok)].ravel()[0]
             raise DomainError(f"x={bad!r} not interior to {dom}")
         out = self._dval(xs)
+        bad = ~np.isfinite(out)
+        if np.any(bad):
+            x_bad = float(xs[bad].ravel()[0])
+            raise NonFiniteValue(f"derivative is not finite at x={x_bad!r}")
         return float(out) if np.ndim(x) == 0 else out
 
     def _numeric_dval(self, xs):

@@ -13,7 +13,9 @@ The integrability side conditions of the continuous theory hold automatically
 for finite atom lists and are not represented.  This module also carries the
 measure-level difference-quotient transform (weights scaled by 1/|x0-r|),
 endpoint extension, the square substitution, and Poisson-kernel atom
-recovery from boundary values of the holomorphic extension.
+recovery from boundary values of the holomorphic extension, integrated by
+breadth-first Gauss-Kronrod (G7-K15) panels with one array evaluation of the
+extension per refinement round.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .errors import (
     BadMeasureInput,
     DomainError,
     NegativeAtom,
+    NonFiniteValue,
     NonzeroMuMinus,
     NotEndpoint,
     QuadratureFailure,
@@ -391,29 +394,63 @@ def rep_from_json(d: dict, kind: str):
 
 # --- Poisson-kernel atom recovery ---------------------------------------------
 
-def _adaptive_simpson(fn, a: float, b: float, tol: float, max_depth: int = 60):
-    """Recursive adaptive Simpson's rule with a Richardson error estimate."""
-    fa, fb = fn(a), fn(b)
-    m = 0.5 * (a + b)
-    fm = fn(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+# QUADPACK qk15 (Piessens et al., 1983): the Kronrod abscissae on [0, 1] from
+# the outside in, their weights, and the weights of the embedded 7-point Gauss
+# rule, whose nodes are the 2nd, 4th, 6th and 8th abscissae.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245, 0.0)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
 
-    def recurse(a, fa, m, fm, b, fb, whole, tol, depth):
-        lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-        flm, frm = fn(lm), fn(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        delta = left + right - whole
-        if abs(delta) <= 15.0 * tol:
-            return left + right + delta / 15.0
-        if depth >= max_depth:
+# The two rules on the 15 ascending nodes of [-1, 1]; Gauss nodes sit at the
+# odd indices, and the Gauss weight is 0 at the others.
+GK_NODES = np.array([-x for x in _XGK] + list(_XGK[-2::-1]))
+GK_KRONROD = np.array(_WGK + _WGK[-2::-1])
+GK_GAUSS = np.zeros(15)
+GK_GAUSS[1::2] = _WG + _WG[-2::-1]
+
+QUAD_MAX_ROUNDS = 60
+QUAD_MAX_PANELS = 4096
+
+
+def _gauss_kronrod(fn, lo, hi, tol: float) -> np.ndarray:
+    """Integrals k = 0, 1, ... of fn over [lo[k], hi[k]], each to absolute
+    tolerance ``tol``, by breadth-first G7-K15 bisection.
+
+    ``fn(t, k)`` takes an (n, 15) array of abscissae, row i on a panel of
+    integral k[i], and returns the values there.  Each round makes one fn
+    call over every node of every live panel.  A panel is accepted when
+    |K15 - G7| is within its tolerance share; any other is bisected, and each
+    half gets half that share.
+    """
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    k = np.arange(lo.size)
+    share = np.full(lo.size, float(tol))
+    total = np.zeros(lo.size)
+    for _ in range(QUAD_MAX_ROUNDS):
+        if k.size > QUAD_MAX_PANELS:
             raise QuadratureFailure(
-                f"adaptive Simpson hit depth {max_depth} on [{a}, {b}]")
-        half = 0.5 * tol
-        return (recurse(a, fa, lm, flm, m, fm, left, half, depth + 1)
-                + recurse(m, fm, rm, frm, b, fb, right, half, depth + 1))
-
-    return recurse(a, fa, m, fm, b, fb, whole, tol, 0)
+                f"Gauss-Kronrod passed {QUAD_MAX_PANELS} live panels")
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        vals = fn(mid[:, None] + half[:, None] * GK_NODES, k)
+        if not np.all(np.isfinite(vals)):
+            raise NonFiniteValue("integrand is not finite on a quadrature panel")
+        kronrod = half * (vals @ GK_KRONROD)
+        done = np.abs(kronrod - half * (vals @ GK_GAUSS)) <= share
+        np.add.at(total, k[done], kronrod[done])
+        live = ~done
+        lo, mid, hi = lo[live], mid[live], hi[live]
+        lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
+        k, share = np.tile(k[live], 2), np.tile(0.5 * share[live], 2)
+        if not k.size:
+            return total
+    raise QuadratureFailure(f"Gauss-Kronrod did not converge in {QUAD_MAX_ROUNDS} rounds")
 
 
 def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
@@ -421,10 +458,15 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
     """Recover the weight of the atom at r from the imaginary part of f's
     holomorphic extension just above the real axis.
 
-    For each eps, integrates (1/pi) Im f(t + i*eps) over the window with
-    adaptive Simpson (split at r, absolute tolerance 1e-10), then applies
-    two-point Richardson extrapolation in eps to remove the O(eps) window
-    leakage.  ``side`` = "-" flips the sign for left-measure atoms.
+    For the two smallest eps, integrates (1/pi) Im f(t + i*eps) over the
+    window with vectorized Gauss-Kronrod panels (split at r, absolute
+    tolerance 5e-11 per side), then applies two-point Richardson
+    extrapolation in eps to remove the O(eps) window leakage.  Every eps must
+    be finite and > 0, and the two smallest must differ.  The largest eps
+    sets the guard: r must lie at least 10*max(eps) inside the window.
+    ``side`` = "-" flips the sign for left-measure atoms.  Raises
+    NonFiniteValue on a non-finite integrand value and QuadratureFailure when
+    the panels do not converge.
     """
     if len(window) != 2:
         raise BadMeasureInput(f"window must be a pair (lo, hi), got {window!r}")
@@ -436,21 +478,24 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
     eps_list = sorted(float(e) for e in eps_list)
     if len(eps_list) < 2:
         raise BadMeasureInput("need at least two eps values for extrapolation")
+    if not all(0.0 < e < math.inf for e in eps_list):
+        raise BadMeasureInput(f"eps values must be finite and > 0, got {eps_list}")
+    e2, e1 = eps_list[0], eps_list[1]
+    if e1 == e2:
+        raise BadMeasureInput(f"the two smallest eps must differ, got {e2} twice")
     guard = 10.0 * max(eps_list)
     if min(r - lo, hi - r) < guard:
         raise WindowContainsPole(
             f"atom at {r} within {guard} of the window boundary")
     sgn = 1.0 if side == "+" else -1.0
+    # integrals 0, 1: eps e2 left and right of r; 2, 3: the same at e1
+    eps = np.array([e2, e2, e1, e1])
 
-    def mass(eps: float) -> float:
-        def integrand(t: float) -> float:
-            return sgn * f.eval_complex(complex(t, eps)).imag / math.pi
+    def integrand(t, k):
+        z = (t + 1j * eps[k, None]).ravel()
+        return sgn * f.eval_complex(z).imag.reshape(t.shape) / math.pi
 
-        return (_adaptive_simpson(integrand, lo, r, 5e-11)
-                + _adaptive_simpson(integrand, r, hi, 5e-11))
-
-    masses = [mass(e) for e in eps_list]
-    e1, e2 = eps_list[1], eps_list[0]
-    m1, m2 = masses[1], masses[0]
+    parts = _gauss_kronrod(integrand, [lo, r, lo, r], [r, hi, r, hi], 5e-11)
+    m2, m1 = parts[0] + parts[1], parts[2] + parts[3]
     # leakage is O(eps): eliminate the linear term with the two smallest eps
-    return (e1 * m2 - e2 * m1) / (e1 - e2)
+    return float((e1 * m2 - e2 * m1) / (e1 - e2))

@@ -17,6 +17,7 @@ from loewner import (
     CertifyConfig,
     Compose,
     DiscreteMeasure,
+    FunctionExpr,
     Interval,
     MeasureOM,
     OCRep,
@@ -76,6 +77,7 @@ ROUNDTRIP_TOL = 1e-10
 
 CLOSED_FORM_TOL = 1e-12
 RECOVERY_REL_TOL = 1e-2
+RECOVERY_MAX_EVALS = 32
 EXTENSION_TOL = 1e-12
 WITNESS_TOL = 1e-10
 
@@ -275,17 +277,33 @@ def test_10_square_of_square_loses_operator_convexity():
     assert abs(replayed - cert.witness["min_eig"]) <= WITNESS_TOL
 
 
-def test_11_poisson_recovery_within_one_percent():
+def test_11_poisson_recovery_within_one_percent(monkeypatch):
+    calls = []
+    eval_complex = FunctionExpr.eval_complex
+
+    def counted(self, z):
+        calls.append(z)
+        return eval_complex(self, z)
+
+    monkeypatch.setattr(FunctionExpr, "eval_complex", counted)
+
+    def recover(rep, r, window):
+        calls.clear()
+        w = recover_atom_weight(MeasureOM(rep), r, window)
+        # one array evaluation per refinement round, not one per abscissa
+        assert len(calls) <= RECOVERY_MAX_EVALS
+        return w
+
     one = OMRep(a=0.0, b=0.5, x0=0.5, mu=DiscreteMeasure(((2.0, 1.0),)),
                 interval=Interval(0.0, 1.0))
-    w = recover_atom_weight(MeasureOM(one), 2.0, (1.2, 3.5))
+    w = recover(one, 2.0, (1.2, 3.5))
     assert abs(w - 1.0) <= RECOVERY_REL_TOL
 
     two = OMRep(a=0.3, b=-0.2, x0=0.5,
                 mu=DiscreteMeasure(((2.0, 1.0), (5.0, 3.0))),
                 interval=Interval(0.0, 1.0))
-    w1 = recover_atom_weight(MeasureOM(two), 2.0, (1.3, 3.4))
-    w2 = recover_atom_weight(MeasureOM(two), 5.0, (3.6, 8.0))
+    w1 = recover(two, 2.0, (1.3, 3.4))
+    w2 = recover(two, 5.0, (3.6, 8.0))
     assert abs(w1 - 1.0) <= RECOVERY_REL_TOL
     assert abs(w2 - 3.0) / 3.0 <= RECOVERY_REL_TOL
 

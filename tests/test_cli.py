@@ -344,6 +344,12 @@ def oc_rep_off_zero():
                  mu_minus=DiscreteMeasure(()), interval=Interval(-2.0, 2.0))
 
 
+def om_rep_huge_atom():
+    # Im f overflows to inf within eps of the atom
+    return OMRep(a=0.0, b=0.0, x0=0.5, mu=DiscreteMeasure(((2.0, 1e306),)),
+                 interval=Interval(0.0, 1.0))
+
+
 @pytest.mark.parametrize("kind, rep, transform", [
     ("soc", soc_rep, {"op": "om_to_soc", "x0": 0.5}),
     ("om", om_rep, {"op": "extend", "b": 1.0}),
@@ -359,10 +365,16 @@ def oc_rep_off_zero():
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5], "eps": ["a", "b"]}),
     ("oc", oc_rep_off_zero, {"op": "substitute_square"}),
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.5]}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5],
+                    "eps": [0.001, 0.001]}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5],
+                    "eps": [0.0, 0.001]}),
+    ("om", om_rep_huge_atom, {"op": "recover", "r": 2.0, "window": [1.5, 2.5]}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
-        "square-x0-off-zero", "recover-window-short"])
+        "square-x0-off-zero", "recover-window-short", "recover-eps-equal",
+        "recover-eps-zero", "recover-non-finite"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),

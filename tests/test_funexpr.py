@@ -27,6 +27,7 @@ from loewner.errors import (
     DomainError,
     EmptyDomain,
     NoFiniteLimit,
+    NonFiniteValue,
     OutsideClosure,
     UnsupportedNode,
 )
@@ -212,6 +213,16 @@ def test_compose_complex_and_derivative_channels():
     z = complex(0.5, 0.25)
     assert abs(f.eval_complex(z) - (2.0 * z + 1.0) ** 2) < 1e-12
     assert abs(f.eval_deriv(0.5) - 8.0) < DERIV_TOL
+
+
+def test_non_finite_derivative_raises():
+    # sqrt'(0) = inf times (x^2)'(0) = 0 is NaN at x = 0
+    f = Compose(Power(0.5), Power(2.0, Interval(-1.0, 1.0)))
+    for x in (0.0, np.array([0.5, 0.0])):
+        with pytest.raises(NonFiniteValue):
+            with np.errstate(all="ignore"):
+                f.eval_deriv(x)
+    assert abs(f.eval_deriv(0.5) - 1.0) < DERIV_TOL
 
 
 ON_HALF_TO_TWO = Interval(0.5, 2.0)

@@ -6,6 +6,7 @@ from catalog import away_from, interior_grid, random_om_rep, rel_residual
 from loewner import (
     DiscreteMeasure,
     Interval,
+    MeasureForm,
     MeasureOM,
     OCRep,
     OMRep,
@@ -21,9 +22,18 @@ from loewner.errors import (
     AtomAtX0,
     BadMeasureInput,
     DomainError,
+    NonFiniteValue,
     NonzeroMuMinus,
     NotEndpoint,
+    QuadratureFailure,
     WindowContainsPole,
+)
+from loewner.measures import (
+    GK_GAUSS,
+    GK_KRONROD,
+    GK_NODES,
+    QUAD_MAX_PANELS,
+    QUAD_MAX_ROUNDS,
 )
 
 IDENTITY_TOL = 1e-12
@@ -256,12 +266,86 @@ def test_recover_rejects_window_touching_the_atom_grid_edge():
     ((2.5, 3.5), {}),
     ((1.2, 3.5), {"side": "x"}),
     ((1.2, 3.5), {"eps_list": (1e-3,)}),
-], ids=["window-misses-r", "side", "one-eps"])
+    ((1.2, 3.5), {"eps_list": (1e-3, 1e-3)}),
+    ((1.2, 3.5), {"eps_list": (0.0, 1e-3)}),
+    ((1.2, 3.5), {"eps_list": (-1e-3, 1e-3)}),
+    ((1.2, 3.5), {"eps_list": (float("nan"), 1e-3)}),
+], ids=["window-misses-r", "side", "one-eps", "eps-equal", "eps-zero", "eps-negative",
+        "eps-nan"])
 def test_recover_argument_errors_are_bad_measure_input(window, kwargs):
     rep = OMRep(a=0.0, b=0.0, x0=0.5,
                 mu=DiscreteMeasure(((2.0, 1.0),)), interval=Interval(0.0, 1.0))
     with pytest.raises(BadMeasureInput):
         recover_atom_weight(MeasureOM(rep), 2.0, window, **kwargs)
+
+
+def test_gauss_kronrod_constants():
+    assert np.all(np.diff(GK_NODES) > 0)
+    assert abs(GK_KRONROD.sum() - 2.0) <= 1e-15
+    assert abs(GK_GAUSS.sum() - 2.0) <= 1e-15
+    assert np.all(GK_GAUSS[0::2] == 0.0) and np.all(GK_GAUSS[1::2] > 0.0)
+    # K15 is exact through degree 22 and G7 through degree 13
+    assert abs(GK_KRONROD @ GK_NODES**22 - 2.0 / 23.0) <= 1e-15
+    assert abs(GK_GAUSS @ GK_NODES**12 - 2.0 / 13.0) <= 1e-15
+
+
+def _soc(plus=(), minus=()):
+    return SOCRep(a=0.2, mu_plus=DiscreteMeasure(plus), mu_minus=DiscreteMeasure(minus),
+                  interval=Interval(-1.0, 1.0))
+
+
+def _oc_left():
+    return OCRep(a=0.5, b=-1.0, c=2.0, x0=0.25, mu_plus=DiscreteMeasure(((3.0, 1.0),)),
+                 mu_minus=DiscreteMeasure(((-2.0, 0.8),)), interval=Interval(-1.0, 1.0))
+
+
+def _om(*atoms):
+    return OMRep(a=0.3, b=-0.2, x0=0.5, mu=DiscreteMeasure(atoms),
+                 interval=Interval(0.0, 1.0))
+
+
+@pytest.mark.parametrize("rep, r, window, kwargs, weight", [
+    (_om((2.0, 1.0), (3.5, 0.4)), 3.5, (2.9, 4.4), {}, 0.4),
+    (_om((-2.0, 0.7), (2.0, 1.0)), -2.0, (-2.9, -1.2), {}, 0.7),
+    (_oc_left(), -2.0, (-2.8, -1.3), {"side": "-"}, 0.8),
+    (_soc(plus=((1.5, 0.6),)), 1.5, (1.1, 2.2), {}, 0.6),
+    (_soc(minus=((-1.5, 0.9),)), -1.5, (-2.2, -1.1), {"side": "-"}, 0.9),
+    (_om((5.0, 3.0)), 5.0, (3.6, 6.3), {}, 3.0),
+    (_om((7.5, 2.0)), 7.5, (6.2, 8.8), {}, 2.0),
+    (_om((2.0, 1.0)), 2.0, (1.4, 2.6), {"eps_list": (2e-4, 5e-3, 5e-5)}, 1.0),
+], ids=["om-right", "om-left-atom", "oc-left", "soc-right", "soc-left", "atom-5",
+        "atom-7.5", "custom-eps"])
+def test_recover_returns_the_built_weight(rep, r, window, kwargs, weight):
+    got = recover_atom_weight(MeasureForm(rep), r, window, **kwargs)
+    assert type(got) is float
+    assert abs(got - weight) <= 1e-9 * weight
+
+
+class _CountingNode:
+    """Wraps a node's holomorphic extension and records each call's size."""
+
+    def __init__(self, cval):
+        self.cval, self.sizes = cval, []
+
+    def eval_complex(self, z):
+        self.sizes.append(np.size(z))
+        return self.cval(z)
+
+
+def test_recover_non_finite_integrand_raises():
+    # w * Im 1/(r - z) overflows to inf within eps of the atom
+    node = _CountingNode(MeasureForm(_om((2.0, 1e306))).eval_complex)
+    with pytest.raises(NonFiniteValue), np.errstate(over="ignore"):
+        recover_atom_weight(node, 2.0, (1.5, 2.5))
+    assert len(node.sizes) <= QUAD_MAX_ROUNDS
+
+
+def test_recover_noisy_integrand_hits_the_panel_cap():
+    rng = np.random.default_rng(0)
+    node = _CountingNode(lambda z: z.real + 1j * rng.standard_normal(np.shape(z)))
+    with pytest.raises(QuadratureFailure):
+        recover_atom_weight(node, 2.0, (1.5, 2.5))
+    assert max(node.sizes) <= QUAD_MAX_PANELS * GK_NODES.size
 
 
 @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
