@@ -62,9 +62,6 @@ from .measures import (
     OCRep,
     OMRep,
     SOCRep,
-    eval_oc,
-    eval_om,
-    eval_soc,
     extend_at_endpoint,
     om_to_soc,
     recover_atom_weight,

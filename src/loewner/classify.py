@@ -29,7 +29,6 @@ from .errors import (
     LoewnerError,
     NonFiniteValue,
     NotPositive,
-    UnsupportedNode,
     ZeroFunction,
 )
 from .funexpr import NegRecip
@@ -373,13 +372,8 @@ def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
         "convex": check_convex(fn, config),
         "strong": check_strong(fn, config),
         "loewner": check_loewner(fn, config),
+        "halfplane": check_halfplane(fn, config),
     }
-    try:
-        certs["halfplane"] = check_halfplane(fn, config)
-    except UnsupportedNode as err:
-        certs["halfplane"] = Certificate("halfplane", "inconclusive", 0,
-                                         HALFPLANE_TOL, config.seed,
-                                         detail=str(err))
     flags = []
     if certs["strong"].verdict == "pass" and certs["convex"].verdict == "fail":
         flags.append("strong-pass-but-convex-fail")

@@ -115,6 +115,24 @@ def _count(v) -> int:
     return v
 
 
+def _flag(v) -> bool:
+    if not isinstance(v, bool):
+        raise TypeError("must be true or false")
+    return v
+
+
+def _floats(v, nulls: bool = False) -> tuple:
+    """A JSON array of numbers as floats, null entries kept as None when
+    ``nulls``; a string, an object or any other entry is rejected."""
+    if not isinstance(v, list):
+        raise TypeError("must be a JSON array of numbers")
+    for c in v:
+        number = isinstance(c, (int, float)) and not isinstance(c, bool)
+        if not (number or (c is None and nulls)):
+            raise TypeError(f"entry {c!r} is not a number")
+    return tuple(None if c is None else float(c) for c in v)
+
+
 def _parse_dims(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
@@ -180,14 +198,13 @@ def _cmd_pipeline(args) -> int:
     fn = _function_from(spec)
     config = _config_from(spec, args)
     process = spec.get("process", "main")
-    points = _value(spec, "points", lambda ps: tuple(map(float, ps)))
+    points = _value(spec, "points", _floats)
     if not points:
         raise _CliFailure(EVAL_ERROR, "spec is missing 'points'")
     cycles = _value(spec, "cycles", _count)
     steps = _value(spec, "steps", _count)
-    shifts = _value(spec, "shifts",
-                    lambda cs: [None if c is None else float(c) for c in cs])
-    certify = bool(spec.get("certify", False)) or args.certify
+    shifts = _value(spec, "shifts", lambda cs: _floats(cs, nulls=True))
+    certify = _value(spec, "certify", _flag) or args.certify
     if process == "main":
         run = processes.main_cycle(fn, points, cycles=cycles,
                                    certify=certify, config=config)
@@ -248,8 +265,8 @@ def _cmd_measure(args) -> int:
             out_rep = measures.substitute_square(rep)
         elif op == "recover":
             r = _value(transform, "r", float, True)
-            window = _value(transform, "window", lambda w: tuple(map(float, w)), True)
-            opts = {"eps_list": _value(transform, "eps", lambda es: tuple(map(float, es))),
+            window = _value(transform, "window", _floats, True)
+            opts = {"eps_list": _value(transform, "eps", _floats),
                     "side": _value(transform, "side", str)}
             w = measures.recover_atom_weight(
                 funexpr.MeasureForm(rep), r, window,
@@ -308,18 +325,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="loewner",
         description="Construct and certify matrix-monotone/convex functions.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, extra in (
-            ("classify", _cmd_classify, ()),
-            ("pipeline", _cmd_pipeline, ("certify",)),
-            ("measure", _cmd_measure, ()),
-            ("report", _cmd_report, ("replay",))):
+    for name, fn, certifies, extra in (
+            ("classify", _cmd_classify, True, ()),
+            ("pipeline", _cmd_pipeline, True, ("certify",)),
+            ("measure", _cmd_measure, False, ()),
+            ("report", _cmd_report, False, ("replay",))):
         p = sub.add_parser(name)
         p.add_argument("--spec", required=True, help="input spec JSON")
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--dims", default=None,
-                       help="matrix sizes, e.g. '2..8' or '2,4,6'")
+        if certifies:
+            p.add_argument("--seed", type=int, default=None)
+            p.add_argument("--trials", type=int, default=None)
+            p.add_argument("--dims", default=None,
+                           help="matrix sizes, e.g. '2..8' or '2,4,6'")
         for flag in extra:
             p.add_argument(f"--{flag}", action="store_true")
         p.set_defaults(handler=fn)

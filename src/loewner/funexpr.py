@@ -9,9 +9,8 @@ three evaluation channels:
 * ``eval_real(x)``     -- values on the domain (vectorized over arrays),
 * ``eval_complex(z)``  -- the holomorphic extension on the open upper
                           half-plane, agreeing with eval_real as Im z -> 0+,
-* ``eval_deriv(x)``    -- first derivative at interior points, symbolic rules
-                          per node with a 4th-order central-difference
-                          fallback (step 1e-5 * (1 + |x|)).
+* ``eval_deriv(x)``    -- first derivative at interior points, by symbolic
+                          rules per node.
 
 Nodes are frozen dataclasses: value-equal trees compare equal and hash, and
 every tree round-trips through ``to_json``/``from_json``.
@@ -46,20 +45,9 @@ __all__ = [
 DERIV_STEP = 1e-5
 
 
-def _central_diff(fn, xs, bounds=None):
-    """4th-order five-point central difference, step 1e-5 * (1 + |x|).
-
-    The step shrinks near finite domain boundaries so samples stay inside.
-    """
+def _central_diff(fn, xs):
+    """4th-order five-point central difference, step 1e-5 * (1 + |x|)."""
     h = DERIV_STEP * (1.0 + np.abs(xs))
-    if bounds is not None:
-        lo, hi = bounds
-        room = np.full_like(xs, np.inf)
-        if math.isfinite(lo):
-            room = np.minimum(room, xs - lo)
-        if math.isfinite(hi):
-            room = np.minimum(room, hi - xs)
-        h = np.minimum(h, 0.25 * room)
     return (-fn(xs + 2 * h) + 8 * fn(xs + h) - 8 * fn(xs - h) + fn(xs - 2 * h)) / (12 * h)
 
 
@@ -103,10 +91,6 @@ class FunctionExpr:
             x_bad = float(xs[bad].ravel()[0])
             raise NonFiniteValue(f"derivative is not finite at x={x_bad!r}")
         return float(out) if np.ndim(x) == 0 else out
-
-    def _numeric_dval(self, xs):
-        dom = self.domain
-        return _central_diff(self._val, xs, bounds=(dom.lo, dom.hi))
 
     def to_json(self) -> dict:
         """{"kind": ...} plus every init field: child nodes and intervals as
@@ -236,8 +220,8 @@ class Reciprocal(FunctionExpr):
 
 
 class _CatalogEntry:
-    def __init__(self, domain_fn, val, cval=None, dval=None, validate=None):
-        self.domain_fn = domain_fn
+    def __init__(self, domain, val, cval, dval, validate=None):
+        self.domain = domain
         self.val = val
         self.cval = cval
         self.dval = dval
@@ -252,7 +236,7 @@ def _pdm_validate(p):
 CATALOG = {
     # x^alpha - (2-x)^alpha on [0, 2]; odd around x=1, increasing for alpha in (0,1]
     "power_diff_mirror": _CatalogEntry(
-        domain_fn=lambda p: Interval(0.0, 2.0, lo_closed=True, hi_closed=True),
+        domain=Interval(0.0, 2.0, lo_closed=True, hi_closed=True),
         val=lambda p, x: np.power(x, p["alpha"]) - np.power(2.0 - x, p["alpha"]),
         cval=lambda p, z: (np.exp(p["alpha"] * np.log(z))
                            - np.exp(p["alpha"] * np.log(2.0 - z))),
@@ -261,7 +245,7 @@ CATALOG = {
         validate=_pdm_validate,
     ),
     "log": _CatalogEntry(
-        domain_fn=lambda p: Interval(0.0, math.inf),
+        domain=Interval(0.0, math.inf),
         val=lambda p, x: np.log(x),
         cval=lambda p, z: np.log(z),
         dval=lambda p, x: 1.0 / x,
@@ -290,7 +274,7 @@ class Catalog(FunctionExpr):
         entry = CATALOG[self.name]
         if entry.validate is not None:
             entry.validate(dict(params))
-        natural = entry.domain_fn(dict(params))
+        natural = entry.domain
         if self.domain is None:
             object.__setattr__(self, "domain", natural)
         elif not natural.contains_interval(self.domain):
@@ -305,16 +289,10 @@ class Catalog(FunctionExpr):
         return CATALOG[self.name].val(self._p, xs)
 
     def _cval(self, zs):
-        entry = CATALOG[self.name]
-        if entry.cval is None:
-            raise UnsupportedNode(f"{self.name} has no holomorphic extension")
-        return entry.cval(self._p, zs)
+        return CATALOG[self.name].cval(self._p, zs)
 
     def _dval(self, xs):
-        entry = CATALOG[self.name]
-        if entry.dval is None:
-            return self._numeric_dval(xs)
-        return entry.dval(self._p, xs)
+        return CATALOG[self.name].dval(self._p, xs)
 
     def to_json(self):
         return {**super().to_json(), "params": dict(self.params)}
@@ -416,7 +394,8 @@ class DiffQuot(FunctionExpr):
     domain excludes it; an interior x0 stays in the domain and the value there
     is the child's derivative (the removable singularity is filled in).  So
     is the value within 1e-8 * (1 + |x0|) of an interior x0, where
-    f(x) - f(x0) is mostly rounding.
+    f(x) - f(x0) is mostly rounding, and the derivative there is a central
+    difference of the quotient; elsewhere it follows the quotient rule.
     """
 
     child: FunctionExpr
@@ -443,7 +422,7 @@ class DiffQuot(FunctionExpr):
     @cached_property
     def _center_band(self) -> float:
         if self.child.domain.interior_contains(self.x0):
-            return 1e-8 * (1.0 + abs(self.x0))  # the band _dval uses
+            return 1e-8 * (1.0 + abs(self.x0))
         return 0.0
 
     def _val(self, xs):
@@ -462,7 +441,7 @@ class DiffQuot(FunctionExpr):
 
     def _dval(self, xs):
         diff = xs - self.x0
-        near = np.abs(diff) <= 1e-8 * (1.0 + abs(self.x0))
+        near = np.abs(diff) <= self._center_band
         out = np.empty_like(xs)
         if np.any(~near):
             x = xs[~near]
@@ -470,7 +449,7 @@ class DiffQuot(FunctionExpr):
             out[~near] = (self.child._dval(x) * d
                           - (self.child._val(x) - self.center_value)) / d**2
         if np.any(near):
-            out[near] = self._numeric_dval(xs[near])
+            out[near] = _central_diff(self._val, xs[near])
         return out
 
 

@@ -41,7 +41,7 @@ from .interval import Interval
 
 __all__ = [
     "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
-    "form_sum", "eval_form", "eval_om", "eval_oc", "eval_soc",
+    "form_sum", "eval_form",
     "om_to_soc", "extend_at_endpoint", "substitute_square",
     "recover_atom_weight", "EndpointExtension",
 ]
@@ -225,23 +225,6 @@ def eval_form(rep, x):
     return out if np.ndim(x) else float(out)
 
 
-def eval_form_complex(rep, z):
-    """The form's holomorphic extension at z (scalar or array)."""
-    out = form_sum(rep, np.asarray(z, dtype=complex))
-    return out if np.ndim(z) else complex(out)
-
-
-def deriv_form(rep, x):
-    """First derivative of the form at x (scalar or array)."""
-    out = form_sum(rep, np.asarray(x, dtype=float), deriv=True)
-    return out if np.ndim(x) else float(out)
-
-
-eval_om = eval_oc = eval_soc = eval_form
-eval_om_complex = eval_oc_complex = eval_soc_complex = eval_form_complex
-deriv_om = deriv_oc = deriv_soc = deriv_form
-
-
 # --- transforms -------------------------------------------------------------------
 
 def om_to_soc(rep: OMRep, x0: float) -> SOCRep:
@@ -249,7 +232,7 @@ def om_to_soc(rep: OMRep, x0: float) -> SOCRep:
 
     The output satisfies, for every x != x0 in the interval,
 
-        eval_soc(out, x) == (eval_om(rep, x) - eval_om(rep, x0)) / (x - x0).
+        out(x) == (rep(x) - rep(x0)) / (x - x0).
     """
     if not rep.interval.closure_contains(x0):
         raise DomainError(f"center {x0} not in the closure of {rep.interval}")
@@ -263,16 +246,16 @@ def om_to_soc(rep: OMRep, x0: float) -> SOCRep:
 
 @dataclass(frozen=True)
 class EndpointExtension:
-    """Extension data for f(x) = (x-b) g(x) at a finite excluded endpoint b.
+    """Extension data for f(x) = (x-b) g(x) at a finite excluded endpoint b,
+    where g is the strong form ``rep``.
 
-    ``expr`` evaluates f on the original interval; ``value_at_b`` is the
-    continuous extension f(b) = -delta (right endpoint) or +delta (left),
-    where delta is the mass of the strong form's measure at b itself.
-    ``quotient_rep`` is g with the boundary atom stripped: the difference
-    quotient (f(x) - f(b))/(x - b) equals it identically on the interval.
+    ``value_at_b`` is the continuous extension f(b) = -delta (right
+    endpoint) or +delta (left), where delta is the mass of the strong form's
+    measure at b itself.  ``quotient_rep`` is g with the boundary atom
+    stripped: the difference quotient (f(x) - f(b))/(x - b) equals it
+    identically on the interval.
     """
 
-    expr: "object"
     b: float
     delta: float
     value_at_b: float
@@ -280,11 +263,11 @@ class EndpointExtension:
     quotient_rep: SOCRep = field(repr=False, default=None)
 
     def identity_residual(self, x) -> float:
-        """max | (f(x)-f(b))/(x-b) - eval_soc(quotient_rep, x) | over x."""
+        """max | (f(x)-f(b))/(x-b) - quotient_rep(x) | over x."""
         xs = np.asarray(x, dtype=float)
-        f = (xs - self.b) * eval_soc(self.rep, xs)
+        f = (xs - self.b) * eval_form(self.rep, xs)
         lhs = (f - self.value_at_b) / (xs - self.b)
-        rhs = eval_soc(self.quotient_rep, xs)
+        rhs = eval_form(self.quotient_rep, xs)
         return float(np.max(np.abs(lhs - rhs)))
 
 
@@ -307,10 +290,7 @@ def extend_at_endpoint(rep: SOCRep, b: float) -> tuple[EndpointExtension, float]
     else:
         quotient = SOCRep(a=rep.a, mu_plus=rep.mu_plus,
                           mu_minus=DiscreteMeasure(stripped), interval=iv)
-    from .funexpr import MeasureForm, MulLinear  # deferred: funexpr imports this module
-
-    expr = MulLinear(MeasureForm(rep), x0=b, c=0.0)
-    ext = EndpointExtension(expr=expr, b=b, delta=delta, value_at_b=value_at_b,
+    ext = EndpointExtension(b=b, delta=delta, value_at_b=value_at_b,
                             rep=rep, quotient_rep=quotient)
     return ext, delta
 

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .classify import CertifyConfig, check_convex, check_monotone, check_strong
+from .classify import Certificate, CertifyConfig, check_convex, check_monotone, check_strong
 from .errors import NotRational, StageCertificationFailed
 from .funexpr import FunctionExpr, from_json, to_json
 from .ratpoly import as_rational
@@ -81,8 +81,6 @@ class PipelineRun:
 
     @staticmethod
     def from_json(d: dict) -> "PipelineRun":
-        from .classify import Certificate
-
         stages = []
         for s in d["stages"]:
             cert = (Certificate.from_json(s["certificate"])
@@ -107,23 +105,26 @@ def _certify(stage: PipelineStage, certify: bool,
     cert = _CHECKS[stage.label](stage.expr, config)
     if cert.verdict == "fail":
         raise StageCertificationFailed(stage.index, cert)
-    return PipelineStage(index=stage.index, label=stage.label, expr=stage.expr,
-                         point=stage.point, shift=stage.shift, certificate=cert)
+    return replace(stage, certificate=cert)
+
+
+def _rational_or_none(fn: FunctionExpr):
+    """The exact rational form of fn, or None when fn is not rational."""
+    try:
+        return as_rational(fn)
+    except NotRational:
+        return None
 
 
 def _is_zero_stage(fn: FunctionExpr) -> bool:
-    try:
-        return as_rational(fn).is_zero
-    except NotRational:
-        return is_zero_on_grid(fn.eval_real, fn.domain)
+    rat = _rational_or_none(fn)
+    return is_zero_on_grid(fn.eval_real, fn.domain) if rat is None else rat.is_zero
 
 
 def rational_degree_of(fn: FunctionExpr):
     """Degree of the exact rational form, or None when not rational."""
-    try:
-        return as_rational(fn).degree
-    except NotRational:
-        return None
+    rat = _rational_or_none(fn)
+    return None if rat is None else rat.degree
 
 
 def _inputs(points, name: str, count, default) -> tuple:
@@ -173,10 +174,7 @@ def main_cycle(f0: FunctionExpr, points, cycles: int = None,
         om = PipelineStage(len(stages), "OM", diff_quotient(oc.expr, p), point=p)
         stages.append(_certify(om, certify, config))
 
-        try:
-            rat = as_rational(om.expr)
-        except NotRational:
-            rat = None
+        rat = _rational_or_none(om.expr)
         if rat is not None:
             if rat.is_zero:
                 # the next difference quotient is identically zero whatever

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import funexpr as fe
 from .errors import NotRational
 
 __all__ = ["RationalFunction", "as_rational", "rational_degree"]
@@ -164,8 +165,6 @@ def as_rational(fn) -> RationalFunction:
     are rejected.  Float parameters convert exactly (binary value) so the
     result is a faithful rational model of what eval_real computes.
     """
-    from . import funexpr as fe
-
     if isinstance(fn, fe.Constant):
         return RationalFunction((_frac(fn.c),))
     if isinstance(fn, fe.Affine):

@@ -16,11 +16,6 @@ TOP_LEVEL = (
     "Interval", "Power", "Quotient", "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
     "MeasureForm", "MeasureOM", "MeasureOC", "MeasureSOC", "Certificate",
     "classify_all", "replay_witness", "recover_atom_weight", "to_json",
-    "eval_om", "eval_oc", "eval_soc",
-)
-MEASURES = (
-    "eval_om", "eval_oc", "eval_soc", "eval_om_complex", "eval_oc_complex",
-    "eval_soc_complex", "deriv_om", "deriv_oc", "deriv_soc",
 )
 CHANNELS = ("eval_real", "eval_complex", "eval_deriv")
 # every function the benchmark's tracer (perfbench/spans.py, LAYER_FUNCTIONS)
@@ -43,11 +38,6 @@ TRACED = {
 @pytest.mark.parametrize("name", TOP_LEVEL)
 def test_package_exports(name):
     assert hasattr(loewner, name)
-
-
-@pytest.mark.parametrize("name", MEASURES)
-def test_measure_evaluators_importable(name):
-    assert callable(getattr(measures, name))
 
 
 @pytest.mark.parametrize("module, name", [

@@ -22,7 +22,7 @@ from loewner import (
 )
 from loewner.classify import _search
 from loewner.errors import DomainError, DuplicateNodes, NonFiniteValue
-from loewner.funexpr import CATALOG, Catalog, NegRecip
+from loewner.funexpr import NegRecip
 from loewner.matcalc import matrix_from_json
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
@@ -238,17 +238,6 @@ def test_classify_all_flags_nothing_for_sqrt():
     assert verdicts["loewner"] == "pass"
     assert verdicts["halfplane"] == "pass"
     assert result.flags == ()
-
-
-def test_classify_all_marks_missing_holomorphic_extension_inconclusive(monkeypatch):
-    from loewner.funexpr import _CatalogEntry
-
-    monkeypatch.setitem(CATALOG, "real_only", _CatalogEntry(
-        domain_fn=lambda p: Interval(0.0, 3.0),
-        val=lambda p, x: np.asarray(x, dtype=float)))
-    fn = Catalog("real_only")
-    result = classify_all(fn, QUICK)
-    assert result.certificates["halfplane"].verdict == "inconclusive"
 
 
 @pytest.mark.parametrize("verdicts, flag", [

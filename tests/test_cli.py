@@ -247,8 +247,15 @@ def test_pipeline_unknown_process_is_eval_error(tmp_path):
     {"cycles": 2.5},
     {"cycles": True},
     {"process": "star", "steps": "2"},
+    {"points": "10"},
+    {"function": to_json(Power(0.5, Interval(0.0, 2.0, True, True))),
+     "process": "backward", "shifts": ""},
+    {"points": [1.0, True]},
+    {"certify": "false"},
+    {"certify": 1},
 ], ids=["points", "points-scalar", "cycles", "steps", "shifts", "cycles-negative",
-        "steps-negative", "cycles-float", "cycles-bool", "steps-string"])
+        "steps-negative", "cycles-float", "cycles-bool", "steps-string", "points-string",
+        "shifts-string", "points-bool", "certify-string", "certify-int"])
 def test_malformed_pipeline_field_is_eval_error(tmp_path, capsys, field):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "process": "main",
                                  "points": [1.0, 0.0], **field})
@@ -370,11 +377,14 @@ def om_rep_huge_atom():
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [1.2, 3.5],
                     "eps": [0.0, 0.001]}),
     ("om", om_rep_huge_atom, {"op": "recover", "r": 2.0, "window": [1.5, 2.5]}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": "13"}),
+    ("om", om_rep, {"op": "recover", "r": 2.0, "window": [-20.0, 30.0], "eps": "12"}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
         "square-x0-off-zero", "recover-window-short", "recover-eps-equal",
-        "recover-eps-zero", "recover-non-finite"])
+        "recover-eps-zero", "recover-non-finite", "recover-window-string",
+        "recover-eps-string"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),
@@ -424,6 +434,20 @@ def test_report_replays_witnesses(tmp_path):
     for entry in report["verdicts"].values():
         if "replay" in entry:
             assert entry["replay"]["match"] is True
+
+
+@pytest.mark.parametrize("command", ["measure", "report"])
+@pytest.mark.parametrize("flag", [("--seed", "1"), ("--trials", "5"), ("--dims", "2..3")],
+                         ids=lambda f: f[0])
+def test_certify_knobs_are_rejected_where_nothing_certifies(tmp_path, command, flag):
+    # a spec both subcommands run on, so only the flag can fail
+    spec = write_spec(tmp_path, {"kind": "om", "measure": rep_to_json(om_rep()),
+                                 "function": to_json(SQUARE),
+                                 "result": {"certificates": {}}})
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", spec, "--out", str(tmp_path / "o"), *flag])
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_report_requires_classify_result(tmp_path):

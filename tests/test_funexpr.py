@@ -185,6 +185,14 @@ def test_diffquot_derivative_near_and_at_center():
     assert abs(f.eval_deriv(1.0 + 1e-12) - 1.0) < 1e-5
 
 
+def test_diffquot_derivative_next_to_an_endpoint_center():
+    # sqrt(x)/x = x^-0.5; a central difference with its usual step would
+    # sample x < 0, so the quotient rule applies right up to the endpoint
+    f = DiffQuot(Power(0.5), 0.0)
+    for x in (1e-9, 5e-9, 1e-8):
+        assert f.eval_deriv(x) == pytest.approx(-0.5 * x**-1.5, rel=1e-9)
+
+
 def test_negrecip_eval():
     f = NegRecip(ID_POS)
     assert np.isclose(f.eval_real(2.0), -0.5)

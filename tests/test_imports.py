@@ -1,7 +1,9 @@
-"""Every name a module under src/ imports is used in that module.
+"""Every name a module under src/ imports is used in that module, and
+every import sits at module level.
 
 There is no linter in the toolchain, and a deletion can leave an import
-behind that nothing reads any more; this stdlib ``ast`` pass shows it.
+behind that nothing reads any more; this stdlib ``ast`` pass shows it.  An
+import inside a function usually hides an import cycle between modules.
 """
 
 import ast
@@ -12,6 +14,7 @@ import pytest
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "loewner"
 # a package's __init__ imports names to re-export them, not to use them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -28,6 +31,13 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def function_level_imports(source: str) -> list:
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+    return sorted({node.lineno for fn in ast.walk(ast.parse(source))
+                   if isinstance(fn, functions) for node in ast.walk(fn)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))})
+
+
 def test_the_pass_sees_an_unused_import():
     assert unused_imports("import os\nfrom math import inf, pi\nprint(pi)\n") == [
         (1, "os"), (2, "inf")]
@@ -36,3 +46,18 @@ def test_the_pass_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_the_pass_sees_a_function_level_import():
+    source = ("import os\n"
+              "def f():\n"
+              "    from math import pi\n"
+              "    def g():\n"
+              "        import sys\n"
+              "    return os, pi\n")
+    assert function_level_imports(source) == [3, 5]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_imports_only_at_module_level(path):
+    assert function_level_imports(path.read_text()) == []

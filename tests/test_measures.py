@@ -8,6 +8,7 @@ from loewner import (
     Interval,
     MeasureForm,
     MeasureOM,
+    MulLinear,
     OCRep,
     OMRep,
     SOCRep,
@@ -109,16 +110,14 @@ def test_rep_derivatives_match_finite_differences():
     xs = interior_grid(rep.interval, 20, margin=0.1)
     h = 1e-6
     num = (rep(xs + h) - rep(xs - h)) / (2 * h)
-    from loewner.measures import deriv_om
-    assert np.allclose(deriv_om(rep, xs), num, rtol=1e-4, atol=1e-6)
+    assert np.allclose(MeasureForm(rep).eval_deriv(xs), num, rtol=1e-4, atol=1e-6)
 
 
 def test_rep_complex_eval_upper_half_plane():
     rep = OMRep(a=0.0, b=0.0, x0=0.5,
                 mu=DiscreteMeasure(((2.0, 1.0),)), interval=Interval(0.0, 1.0))
     z = complex(0.5, 0.3)
-    from loewner.measures import eval_om_complex
-    v = eval_om_complex(rep, z)
+    v = MeasureForm(rep).eval_complex(z)
     assert v.imag > 0  # monotone representations map UHP to UHP
 
 
@@ -166,7 +165,8 @@ def test_extension_carries_boundary_atom_into_the_value():
     assert delta == 0.7
     assert ext.value_at_b == -0.7  # right endpoint: f(b) = -delta
     # b stays excluded from the expression's domain; the value is the limit
-    assert ext.expr.eval_real(1.0 - 1e-9) == pytest.approx(-0.7, abs=1e-6)
+    f = MulLinear(MeasureForm(rep), 1.0)
+    assert f.eval_real(1.0 - 1e-9) == pytest.approx(-0.7, abs=1e-6)
 
 
 def test_extension_left_endpoint_flips_sign():
