@@ -50,11 +50,9 @@ from .matcalc import (
     apply_fn,
     compress,
     embed,
-    is_psd,
     psd_min_eig,
     rand_hermitian,
     rand_ordered_pair,
-    rand_projection,
     schur_complement,
 )
 from .measures import (
@@ -70,7 +68,7 @@ from .measures import (
     substitute_square,
 )
 from .processes import PipelineRun, PipelineStage, backward_process, main_cycle, star_process
-from .ratpoly import RationalFunction, as_rational, rational_degree
+from .ratpoly import RationalFunction, as_rational
 from .transforms import (
     ComposeResult,
     choose_shift,

@@ -10,8 +10,8 @@ Four subcommands, all spec-file driven and deterministic:
 Each writes JSON (sorted keys) plus a CSV of sampled values into --out.
 Outputs are pure functions of the spec and flags: a rerun produces
 byte-identical files.  Exit codes: 0 for any valid run (a "fail" verdict is
-a valid answer), 2 for unreadable/unparsable input (JSON errors report the
-byte offset), 3 for evaluation or validation errors.
+a valid answer), 2 for an unreadable spec (JSON errors report the byte
+offset) or an unusable --out, 3 for evaluation or validation errors.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ import numpy as np
 from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
+from .interval import json_flag, json_number, json_numbers
 
 __all__ = ["main"]
 
@@ -57,9 +58,13 @@ def _load_spec(path: str) -> dict:
 
 def _atomic_write(path: str, data: str):
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as err:
+        raise _CliFailure(PARSE_ERROR, f"cannot write {path}: {err}") from err
 
 
 def _write_json(out_dir: str, name: str, obj: dict):
@@ -115,24 +120,6 @@ def _count(v) -> int:
     return v
 
 
-def _flag(v) -> bool:
-    if not isinstance(v, bool):
-        raise TypeError("must be true or false")
-    return v
-
-
-def _floats(v, nulls: bool = False) -> tuple:
-    """A JSON array of numbers as floats, null entries kept as None when
-    ``nulls``; a string, an object or any other entry is rejected."""
-    if not isinstance(v, list):
-        raise TypeError("must be a JSON array of numbers")
-    for c in v:
-        number = isinstance(c, (int, float)) and not isinstance(c, bool)
-        if not (number or (c is None and nulls)):
-            raise TypeError(f"entry {c!r} is not a number")
-    return tuple(None if c is None else float(c) for c in v)
-
-
 def _parse_dims(text: str) -> tuple:
     text = text.strip()
     if ".." in text:
@@ -149,7 +136,7 @@ def _config_from(spec: dict, args) -> _classify.CertifyConfig:
     cfg = _value(spec, "config", dict) or {}
     # counts go to CertifyConfig as they are, so that 2.5 or true is rejected, not cut
     kwargs = {"seed": cfg.get("seed"), "trials": cfg.get("trials"),
-              "dims": _value(cfg, "dims", tuple), "tol": _value(cfg, "tol", float)}
+              "dims": _value(cfg, "dims", tuple), "tol": _value(cfg, "tol", json_number)}
     env = os.environ.get("LOEWNER_SEED")
     if env is not None:
         try:
@@ -198,13 +185,13 @@ def _cmd_pipeline(args) -> int:
     fn = _function_from(spec)
     config = _config_from(spec, args)
     process = spec.get("process", "main")
-    points = _value(spec, "points", _floats)
+    points = _value(spec, "points", json_numbers)
     if not points:
         raise _CliFailure(EVAL_ERROR, "spec is missing 'points'")
     cycles = _value(spec, "cycles", _count)
     steps = _value(spec, "steps", _count)
-    shifts = _value(spec, "shifts", lambda cs: _floats(cs, nulls=True))
-    certify = _value(spec, "certify", _flag) or args.certify
+    shifts = _value(spec, "shifts", lambda cs: json_numbers(cs, nulls=True))
+    certify = _value(spec, "certify", json_flag) or args.certify
     if process == "main":
         run = processes.main_cycle(fn, points, cycles=cycles,
                                    certify=certify, config=config)
@@ -251,10 +238,10 @@ def _cmd_measure(args) -> int:
             raise _CliFailure(EVAL_ERROR, f"measure op {op!r} takes a {takes!r} "
                                           f"representation, got {kind!r}")
         if op == "om_to_soc":
-            out_rep = measures.om_to_soc(rep, _value(transform, "x0", float, True))
+            out_rep = measures.om_to_soc(rep, _value(transform, "x0", json_number, True))
         elif op == "extend":
             ext, delta = measures.extend_at_endpoint(
-                rep, _value(transform, "b", float, True))
+                rep, _value(transform, "b", json_number, True))
             xs = _sample_grid(rep.interval)
             out["extension"] = {
                 "b": ext.b, "delta": delta, "value_at_b": ext.value_at_b,
@@ -264,9 +251,9 @@ def _cmd_measure(args) -> int:
         elif op == "substitute_square":
             out_rep = measures.substitute_square(rep)
         elif op == "recover":
-            r = _value(transform, "r", float, True)
-            window = _value(transform, "window", _floats, True)
-            opts = {"eps_list": _value(transform, "eps", _floats),
+            r = _value(transform, "r", json_number, True)
+            window = _value(transform, "window", json_numbers, True)
+            opts = {"eps_list": _value(transform, "eps", json_numbers),
                     "side": _value(transform, "side", str)}
             w = measures.recover_atom_weight(
                 funexpr.MeasureForm(rep), r, window,
@@ -291,7 +278,7 @@ def _report_entry(fn, cert_json, replay: bool) -> dict:
     entry = {"property": cert.property, "verdict": cert.verdict,
              "trials": cert.trials}
     if replay and cert.witness is not None:
-        stored = float(cert.witness["min_eig"])
+        stored = json_number(cert.witness["min_eig"])
         replayed = _classify.replay_witness(fn, cert)
         entry["replay"] = {
             "stored": stored, "replayed": replayed,
@@ -347,7 +334,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        os.makedirs(args.out, exist_ok=True)
         return args.handler(args)
     except _CliFailure as err:
         print(f"loewner: {err}", file=sys.stderr)

@@ -17,7 +17,7 @@ class DomainError(LoewnerError):
 
 
 class UnsupportedNode(LoewnerError):
-    """The node has no declared holomorphic extension."""
+    """An unknown function kind or catalog function name."""
 
 
 class EmptyDomain(LoewnerError):

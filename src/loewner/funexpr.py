@@ -31,7 +31,7 @@ from .errors import (
     OutsideClosure,
     UnsupportedNode,
 )
-from .interval import REAL_LINE, Interval
+from .interval import REAL_LINE, Interval, json_flag, json_number, json_numbers
 from .measures import form_sum, rep_from_json, rep_to_json
 from .scanning import closure_value, scan_grid
 
@@ -265,11 +265,8 @@ class Catalog(FunctionExpr):
     def __post_init__(self):
         if self.name not in CATALOG:
             raise UnsupportedNode(f"unknown catalog function {self.name!r}")
-        params = self.params
-        if isinstance(params, dict):
-            params = tuple(sorted((k, float(v)) for k, v in params.items()))
-        else:
-            params = tuple(sorted((k, float(v)) for k, v in params))
+        params = self.params.items() if isinstance(self.params, dict) else self.params
+        params = tuple(sorted((k, float(v)) for k, v in params))
         object.__setattr__(self, "params", params)
         entry = CATALOG[self.name]
         if entry.validate is not None:
@@ -565,6 +562,15 @@ def from_json(d: dict) -> FunctionExpr:
 
 _KINDS = {cls.kind: cls for cls in (Constant, Affine, Power, Reciprocal, Catalog,
                                     Quotient, DiffQuot, NegRecip, MulLinear, Compose)}
+
+
+def _json_params(v) -> dict:
+    if not isinstance(v, dict):
+        raise TypeError(f"catalog params {v!r} is not a JSON object")
+    return {k: json_number(p) for k, p in v.items()}
+
+
 # a field's annotation (a string: annotations are postponed) -> decoder of its
-# JSON; fields of other types pass as they are and the node checks them
-_DECODE = {"Interval": Interval.from_json, "FunctionExpr": from_json, "tuple": tuple}
+# JSON; only a "str" field (Catalog.name) passes as it is, and the node checks it
+_DECODE = {"Interval": Interval.from_json, "FunctionExpr": from_json, "float": json_number,
+           "tuple": json_numbers, "bool": json_flag, "dict | tuple": _json_params}

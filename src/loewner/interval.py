@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyDomain
 
-__all__ = ["Interval", "REAL_LINE"]
+__all__ = ["Interval", "REAL_LINE", "json_number", "json_numbers", "json_flag"]
 
 
 @dataclass(frozen=True)
@@ -134,22 +134,17 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
-        """Parse ``to_json`` output.  The flags must be JSON booleans; an
-        absent flag means open."""
+        """Parse ``to_json`` output.  A finite end must be a JSON number and a
+        flag a JSON boolean; an absent flag means open."""
         def dec(v):
             if v == "inf":
                 return math.inf
             if v == "-inf":
                 return -math.inf
-            return float(v)
+            return json_number(v)
 
-        def flag(key):
-            v = obj.get(key, False)
-            if not isinstance(v, bool):
-                raise TypeError(f"interval {key} must be true or false, got {v!r}")
-            return v
-
-        return cls(dec(obj["lo"]), dec(obj["hi"]), flag("lo_closed"), flag("hi_closed"))
+        return cls(dec(obj["lo"]), dec(obj["hi"]), json_flag(obj.get("lo_closed", False)),
+                   json_flag(obj.get("hi_closed", False)))
 
     def __str__(self):
         lb = "[" if self.lo_closed else "("
@@ -158,3 +153,25 @@ class Interval:
 
 
 REAL_LINE = Interval(-math.inf, math.inf)
+
+
+# JSON readers: every spec parser in the package reads its numbers and flags here
+def json_number(v) -> float:
+    """A JSON number (an int or a float, not a bool or a string) as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a JSON number")
+    return float(v)
+
+
+def json_numbers(v, nulls: bool = False) -> tuple:
+    """A JSON array of numbers as floats; with ``nulls``, null entries stay None."""
+    if not isinstance(v, list):
+        raise TypeError(f"{v!r} is not a JSON array of numbers")
+    return tuple(None if c is None and nulls else json_number(c) for c in v)
+
+
+def json_flag(v) -> bool:
+    """A JSON boolean."""
+    if not isinstance(v, bool):
+        raise TypeError(f"{v!r} is not true or false")
+    return v

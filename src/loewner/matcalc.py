@@ -14,10 +14,9 @@ from .errors import SingularBlock, SpectrumOutsideDomain
 from .interval import Interval
 
 __all__ = [
-    "sym", "apply_fn", "psd_min_eig", "min_eig_floor", "is_psd", "spectral_norm",
+    "sym", "apply_fn", "psd_min_eig", "min_eig_floor", "spectral_norm",
     "projection_basis", "complement_basis", "compress", "embed",
-    "schur_complement", "haar_unitary", "rand_hermitian",
-    "rand_ordered_pair", "rand_projection",
+    "schur_complement", "haar_unitary", "rand_hermitian", "rand_ordered_pair",
     "matrix_to_json", "matrix_from_json",
 ]
 
@@ -51,12 +50,6 @@ def min_eig_floor(m: np.ndarray, tol: float = 1e-9) -> tuple:
     (..., n, n) stack, both are arrays with one entry per matrix."""
     eigs = np.linalg.eigvalsh(sym(m))
     return eigs.min(-1), -tol * (1.0 + np.abs(eigs).max(-1))
-
-
-def is_psd(m: np.ndarray, tol: float = 1e-9) -> bool:
-    """PSD up to the relative slack tol * (1 + ||m||)."""
-    mn, floor = min_eig_floor(m, tol)
-    return bool(mn >= floor)
 
 
 def apply_fn(fn, h: np.ndarray) -> np.ndarray:
@@ -186,15 +179,6 @@ def rand_ordered_pair(rng, n: int, domain: Interval, clip_len: float = 20.0) -> 
     w = _each(rng, lambda g: g.uniform(0.0, 1.0)) * head
     h1 = sym(h2 - w[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]))
     return h1, h2
-
-
-def rand_projection(rng: np.random.Generator, n: int, rank: int) -> np.ndarray:
-    """Random orthogonal projection of the given rank (Haar-rotated corner)."""
-    if not 0 < rank < n:
-        raise ValueError(f"rank must be strictly between 0 and {n}")
-    u = haar_unitary(rng, n)
-    cols = u[:, :rank]
-    return sym(cols @ cols.conj().T)
 
 
 # --- JSON ------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from .errors import (
     QuadratureFailure,
     WindowContainsPole,
 )
-from .interval import Interval
+from .interval import Interval, json_number
 
 __all__ = [
     "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
@@ -355,19 +355,19 @@ def rep_to_json(rep) -> dict:
 
 
 def rep_from_json(d: dict, kind: str):
-    """Parse a representation dict; kind is 'om', 'oc', or 'soc'."""
+    """Parse a representation dict of kind 'om', 'oc' or 'soc'; numbers must be JSON numbers."""
     interval = Interval.from_json(d["interval"])
-    plus = tuple((float(r), float(w)) for r, w in d.get("atoms_plus", ()))
-    minus = tuple((float(r), float(w)) for r, w in d.get("atoms_minus", ()))
+    plus, minus = (tuple((json_number(r), json_number(w)) for r, w in d.get(key, ()))
+                   for key in ("atoms_plus", "atoms_minus"))
     if kind == "om":
-        return OMRep(a=float(d["a"]), b=float(d["b"]), x0=float(d["x0"]),
+        return OMRep(a=json_number(d["a"]), b=json_number(d["b"]), x0=json_number(d["x0"]),
                      mu=DiscreteMeasure(plus + minus), interval=interval)
     if kind == "oc":
-        return OCRep(a=float(d["a"]), b=float(d["b"]), c=float(d["c"]),
-                     x0=float(d["x0"]), mu_plus=DiscreteMeasure(plus),
+        return OCRep(a=json_number(d["a"]), b=json_number(d["b"]), c=json_number(d["c"]),
+                     x0=json_number(d["x0"]), mu_plus=DiscreteMeasure(plus),
                      mu_minus=DiscreteMeasure(minus), interval=interval)
     if kind == "soc":
-        return SOCRep(a=float(d["a"]), mu_plus=DiscreteMeasure(plus),
+        return SOCRep(a=json_number(d["a"]), mu_plus=DiscreteMeasure(plus),
                       mu_minus=DiscreteMeasure(minus), interval=interval)
     raise BadMeasureInput(f"unknown representation kind {kind!r}")
 

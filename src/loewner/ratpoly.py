@@ -16,7 +16,7 @@ from fractions import Fraction
 from . import funexpr as fe
 from .errors import NotRational
 
-__all__ = ["RationalFunction", "as_rational", "rational_degree"]
+__all__ = ["RationalFunction", "as_rational"]
 
 
 def _frac(x) -> Fraction:
@@ -220,8 +220,3 @@ def _radd(f: RationalFunction, g: RationalFunction) -> RationalFunction:
     num = _padd(_pmul(f.num, g.den), _pmul(g.num, f.den))
     return RationalFunction(num, _pmul(f.den, g.den))
 
-
-def rational_degree(fn) -> int:
-    """Degree (max of numerator/denominator degree) of the exact rational
-    form; raises NotRational for trees with non-rational nodes."""
-    return as_rational(fn).degree

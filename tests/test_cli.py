@@ -128,9 +128,10 @@ def test_dims_flag_below_two_is_parse_error(tmp_path, capsys):
     {"trials": 2.5},
     {"dims": [2.5]},
     {"seed": True},
+    {"tol": True},
 ], ids=["dims-empty", "dims-1", "dims-2-1", "dims-scalar", "trials", "trials-negative",
         "tol", "tol-negative", "seed", "seed-negative", "trials-float", "dims-float",
-        "seed-bool"])
+        "seed-bool", "tol-bool"])
 def test_malformed_spec_config_is_eval_error(tmp_path, capsys, config):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": config})
     assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -153,6 +154,14 @@ def test_missing_spec_file_is_parse_error(tmp_path, capsys):
     assert "cannot read spec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["afile", "afile/sub"])
+def test_unusable_out_is_parse_error(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("")
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": FAST})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / out)]) == 2
+    assert "cannot write" in capsys.readouterr().err
+
+
 def test_missing_function_entry_is_eval_error(tmp_path):
     spec = write_spec(tmp_path, {"config": FAST})
     assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -167,6 +176,10 @@ def test_invalid_function_domain_is_eval_error(tmp_path, capsys):
     assert "bad function" in capsys.readouterr().err
 
 
+MEASURE_OM = {"kind": "measure_om", "a": 1.0, "b": 0.0, "x0": 0.5, "atoms_plus": [[2.0, 1.0]],
+              "interval": {"lo": 0.0, "hi": 1.0}}
+
+
 @pytest.mark.parametrize("function", [
     {"kind": "catalog", "name": "log", "params": [1, 2]},
     {"kind": "power", "alpha": 0.5,
@@ -175,8 +188,20 @@ def test_invalid_function_domain_is_eval_error(tmp_path, capsys):
     {"kind": "constant", "c": float("nan")},   # json.dumps writes NaN
     {"kind": "quotient", "num": [1.0], "den": [0, 0]},
     {"kind": "quotient", "num": [1.0], "den": []},
+    # a string or a boolean where a number, a list of numbers or a flag belongs
+    {"kind": "quotient", "num": "12", "den": [1]},
+    {"kind": "power", "alpha": "2.5"},
+    {"kind": "constant", "c": True},
+    {"kind": "negrecip", "child": {"kind": "constant", "c": 2.0}, "positive_child": "false"},
+    {"kind": "catalog", "name": "power_diff_mirror", "params": {"alpha": "0.5"}},
+    {"kind": "power", "alpha": 0.5, "domain": {"lo": True, "hi": 2.0}},
+    {**MEASURE_OM, "x0": "0.5"},
+    {**MEASURE_OM, "atoms_plus": [[2.0, True]]},
 ], ids=["catalog-params-list", "interval-flag-string", "quotient-no-den",
-        "constant-nan", "quotient-den-zero", "quotient-den-empty"])
+        "constant-nan", "quotient-den-zero", "quotient-den-empty", "quotient-num-string",
+        "power-alpha-string", "constant-c-bool", "negrecip-flag-string",
+        "catalog-param-string", "interval-lo-bool", "measure-x0-string",
+        "measure-atom-bool"])
 def test_malformed_function_spec_is_eval_error(tmp_path, capsys, function):
     spec = write_spec(tmp_path, {"function": function, "config": FAST})
     out = tmp_path / "o"
@@ -379,12 +404,15 @@ def om_rep_huge_atom():
     ("om", om_rep_huge_atom, {"op": "recover", "r": 2.0, "window": [1.5, 2.5]}),
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": "13"}),
     ("om", om_rep, {"op": "recover", "r": 2.0, "window": [-20.0, 30.0], "eps": "12"}),
+    ("om", om_rep, {"op": "om_to_soc", "x0": True}),
+    ("soc", soc_rep, {"op": "extend", "b": "1"}),
+    ("om", om_rep, {"op": "recover", "r": True, "window": [0.5, 1.5]}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
         "square-x0-off-zero", "recover-window-short", "recover-eps-equal",
         "recover-eps-zero", "recover-non-finite", "recover-window-string",
-        "recover-eps-string"])
+        "recover-eps-string", "om_to_soc-x0-bool", "extend-b-string", "recover-r-bool"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),
@@ -465,7 +493,9 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
     {"halfplane": {**MONO, "property": "halfplane",
                    "witness": {"check": "halfplane", "z": [-1.0, 1.0]}}},
     [MONO],
-], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list"])
+    {"monotone": {**MONO, "witness": {"check": "loewner", "nodes": [0.5, 2.0],
+                                      "min_eig": "-1"}}},
+], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list", "min-eig-string"])
 def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, certificates):
     spec = write_spec(tmp_path, {"function": to_json(SQUARE),
                                  "result": {"certificates": certificates}})

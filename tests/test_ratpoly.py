@@ -24,9 +24,9 @@ from loewner import (
     SOCRep,
     as_rational,
     identity,
-    rational_degree,
 )
 from loewner.errors import NotRational
+from loewner.processes import rational_degree_of
 
 coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
 
@@ -132,12 +132,8 @@ def test_as_rational_rejects_transcendental_nodes():
 
 
 def test_rational_degree_of_expressions():
-    assert rational_degree(Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, 9.0))) == 1
-    assert rational_degree(Constant(4.0)) == 0
-    with pytest.raises(NotRational):
-        rational_degree(Power(0.5))
-    # the pipeline-facing variant maps that to None
-    from loewner.processes import rational_degree_of
+    assert rational_degree_of(Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, 9.0))) == 1
+    assert rational_degree_of(Constant(4.0)) == 0
     assert rational_degree_of(Power(0.5)) is None
 
 

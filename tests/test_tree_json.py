@@ -11,6 +11,7 @@ pinned tree must read back equal from its text.
 import hashlib
 import json
 import math
+from dataclasses import fields
 
 import pytest
 
@@ -31,6 +32,7 @@ from loewner import (
     star_process,
     to_json,
 )
+from loewner import funexpr
 from loewner.funexpr import Catalog, Compose, DiffQuot, MulLinear, NegRecip, Reciprocal
 
 SQRT = Power(0.5)
@@ -182,6 +184,15 @@ def final_tree(name):
 
 def test_pinned_trees_cover_every_kind():
     assert {fn.kind for fn in TREES.values()} == KINDS
+
+
+def test_every_field_is_read_through_a_json_decoder():
+    # a field whose annotation has no decoder reaches its node as the spec
+    # wrote it, where float() would take "2.5" or true as a number
+    for cls in funexpr._KINDS.values():
+        for f in fields(cls):
+            if f.init:
+                assert f.type in funexpr._DECODE or f.type == "str", (cls.kind, f.name)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED))
