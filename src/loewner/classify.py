@@ -15,6 +15,9 @@ Checks:
                       cross-checked against convexity of -1/f when f > 0
 * loewner             divided-difference matrices at random nodes are PSD
 * halfplane           Im f(z) >= 0 on a grid in the upper half-plane
+
+classify_all searches convexity of f and of -1/f (the second route of strong
+convexity) together, on one set of draws and eigendecompositions.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from .errors import (
     ZeroFunction,
 )
 from .funexpr import NegRecip
+from .interval import json_number, json_numbers
 from .matcalc import (
     apply_fn,
+    apply_spectrum,
     compress,
     embed,
     haar_unitary,
@@ -44,6 +49,7 @@ from .matcalc import (
     psd_min_eig,
     rand_hermitian,
     rand_ordered_pair,
+    spectrum,
     sym,
 )
 from .scanning import check_positive
@@ -63,7 +69,7 @@ T_DRAWS = 8                      # random Jensen weights per convexity trial
 CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
-CHUNK = 32                       # most trials drawn and evaluated together
+CHUNK = 64                       # most trials drawn and evaluated together
 
 
 @dataclass(frozen=True)
@@ -105,32 +111,34 @@ class Certificate:
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
-        return Certificate(property=d["property"], verdict=d["verdict"],
-                           trials=d["trials"], tolerance=d["tolerance"],
-                           seed=d["seed"], witness=d.get("witness"),
-                           detail=d.get("detail", ""))
+        # trials, tolerance and seed are read as the run config they came from
+        run = CertifyConfig(trials=d["trials"], tol=json_number(d["tolerance"]), seed=d["seed"])
+        return Certificate(d["property"], d["verdict"], run.trials, run.tol, run.seed,
+                           d.get("witness"), d.get("detail", ""))
 
 
-def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
-    """Evaluate the trials, those of one size as stacks: the fail certificate of
-    the lowest bad gap, or None; NonFiniteValue if that gap is not finite."""
+def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, fns, trials):
+    """Evaluate the trials, those of one size as stacks: per function of fns the fail
+    certificate of its lowest bad gap, or None; NonFiniteValue if it is not finite."""
     groups = {}
     for trial in trials:
         groups.setdefault(sizes[trial % len(sizes)], []).append(trial)
-    found = []                    # (trial, part, fields, index, min eig or None)
+    found = [[] for _ in fns]     # per fn: (trial, part, fields, index, min eig or None)
     for size, members in groups.items():
         rngs = [np.random.default_rng([config.seed, t]) for t in members]
-        for part, (owner, gaps, fields) in enumerate(probe(rngs, size)):
-            finite = np.isfinite(gaps).all(axis=(-2, -1))
-            mn, floor = min_eig_floor(np.where(finite[:, None, None], gaps, 0.0),
-                                      config.tol)
-            bad = np.flatnonzero(~finite | (mn < floor))
-            for i in bad[:1]:
-                found.append((members[owner[i]], part, fields, i,
-                              float(mn[i]) if finite[i] else None))
-    if not found:
-        return None
-    trial, _, fields, i, mn = min(found, key=lambda f: f[:2])
+        for part, (owner, gaps, fields) in enumerate(probe(rngs, size, fns)):
+            for hits, gap in zip(found, gaps):
+                finite = np.isfinite(gap).all(axis=(-2, -1))
+                mn, floor = min_eig_floor(np.where(finite[:, None, None], gap, 0.0),
+                                          config.tol)
+                for i in np.flatnonzero(~finite | (mn < floor))[:1]:
+                    hits.append((members[owner[i]], part, fields, i,
+                                 float(mn[i]) if finite[i] else None))
+    return [_fail(prop, config, *min(hits, key=lambda f: f[:2])) if hits else None
+            for hits in found]
+
+
+def _fail(prop: str, config: CertifyConfig, trial, _, fields, i, mn) -> Certificate:
     fields = fields(i)
     if mn is None:
         raise NonFiniteValue(f"{prop} trial {trial}: the {fields['check']} "
@@ -143,31 +151,55 @@ def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
 
 
 def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
-            probe) -> Certificate:
-    """Trials 0..count-1 in chunks [0], [1], [2, 3], [4..7], ... of at most
-    CHUNK; trial k has size sizes[k % len(sizes)], stream default_rng([seed, k]).
+            probe, fns) -> list:
+    """Trials 0..count-1 of each of fns (functions on one domain) in chunks
+    [0], [1], [2, 3], [4..7], ... of at most CHUNK; trial k has size
+    sizes[k % len(sizes)], stream default_rng([seed, k]).
 
-    ``probe(rngs, size)`` draws from each stream what one trial draws, in its
-    order, and yields parts (owner, gaps, fields): matrices that must be PSD in
-    (trial, probe) order, the position in rngs of each one's trial, and
-    fields(i), the witness of gap i.  In (trial, probe) order, the first gap
-    that is not finite or is below its floor decides: NonFiniteValue or a
-    fail.  A chunk that raises runs again one trial at a time, likewise.
+    ``probe(rngs, size, fns)`` draws from each stream what one trial draws, in
+    its order, and yields parts (owner, gaps, fields): per function a stack of
+    matrices that must be PSD, the position in rngs of each one's trial, and
+    fields(i), the witness of gap i.  Per function, the first gap in (trial,
+    probe) order that is not finite or is below its floor decides, and the
+    function leaves the search.  A chunk that raises runs again per function,
+    then one trial at a time.  Returns per function its Certificate or error.
     """
     scan = partial(_scan, prop, config, sizes, probe)
+
+    def attempt(fns, trials):
+        try:
+            return scan(fns, trials)
+        except LoewnerError as err:
+            if len(fns) > 1:
+                return [attempt([fn], trials)[0] for fn in fns]
+            if len(trials) == 1:
+                return [err.with_traceback(None)]
+            return [next(filter(None, (attempt(fns, [t])[0] for t in trials)), None)]
+
+    out = [None] * len(fns)
     stop = 0
-    while stop < count:
+    while stop < count and None in out:
         chunk = range(stop, min(count, max(2 * stop, 1), stop + CHUNK))
         stop = chunk.stop
-        try:
-            cert = scan(chunk)
-        except LoewnerError:
-            if len(chunk) == 1:
-                raise
-            cert = next(filter(None, (scan([t]) for t in chunk)), None)
-        if cert:
-            return cert
-    return Certificate(prop, "pass", count, config.tol, config.seed)
+        live = [j for j, o in enumerate(out) if o is None]
+        for j, o in zip(live, attempt([fns[j] for j in live], chunk)):
+            out[j] = o
+    return [o or Certificate(prop, "pass", count, config.tol, config.seed) for o in out]
+
+
+def _held(outcome) -> Certificate:
+    """A search outcome: its Certificate, or raise its LoewnerError."""
+    if isinstance(outcome, LoewnerError):
+        raise outcome
+    return outcome
+
+
+def _sign(fn):
+    """None when the positivity scan clears f, else the error it raised."""
+    try:
+        check_positive(fn.eval_real, fn.domain)
+    except LoewnerError as err:
+        return err.with_traceback(None)  # its frames would hold the holder in a cycle
 
 
 # --- the inequalities: each returns the matrix (or stack) that must be PSD -------
@@ -178,103 +210,122 @@ def _monotone_gap(fn, h1, h2) -> np.ndarray:
     return f2 - f1
 
 
-def _jensen_gap(fn, h1, h2, f1, f2, t) -> np.ndarray:
-    """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2), given f1 = f(h1), f2 = f(h2)."""
-    mix = apply_fn(fn, sym(t * h1 + (1.0 - t) * h2))
-    return t * f1 + (1.0 - t) * f2 - mix
+def _mix(h1, h2, t, dom) -> tuple:
+    """The spectrum of t h1 + (1-t) h2."""
+    return spectrum(sym(t * h1 + (1.0 - t) * h2), dom)
 
 
-def _davis_gap(fn, fh, h, v) -> np.ndarray:
-    """V*f(h)V - f(V*hV) for an isometry V, given fh = f(h)."""
-    corner = apply_fn(fn, compress(h, v))
-    return compress(fh, v) - corner
+def _jensen_gap(fn, f1, f2, t, mix) -> np.ndarray:
+    """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2) from f(h1), f(h2), _mix(h1, h2, t)."""
+    return t * f1 + (1.0 - t) * f2 - apply_spectrum(fn, mix)
 
 
-def _strong_gap(fn, fh, h, v) -> np.ndarray:
-    """f(h) - V f(V*hV) V* for an isometry V, given fh = f(h)."""
-    corner = apply_fn(fn, compress(h, v))
-    return fh - embed(corner, v)
+def _davis_gap(fn, fh, v, corner) -> np.ndarray:
+    """V*f(h)V - f(V*hV) for an isometry V, given fh = f(h), corner = eig(V*hV)."""
+    return compress(fh, v) - apply_spectrum(fn, corner)
+
+
+def _strong_gap(fn, fh, v, corner) -> np.ndarray:
+    """f(h) - V f(V*hV) V* for an isometry V, given fh = f(h), corner = eig(V*hV)."""
+    return fh - embed(apply_spectrum(fn, corner), v)
 
 
 # --- monotonicity -----------------------------------------------------------------
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    def probe(rngs, n):
+    def probe(rngs, n, fns):
         h1, h2 = rand_ordered_pair(rngs, n, fn.domain, CLIP_LEN)
-        yield (np.arange(len(rngs)), _monotone_gap(fn, h1, h2),
+        yield (np.arange(len(rngs)), [_monotone_gap(fn, h1, h2)],
                lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
-    return _search("operator_monotone", config, config.trials, config.dims, probe)
+    return _held(_search("operator_monotone", config, config.trials, config.dims,
+                         probe, [fn])[0])
 
 
 # --- convexity -------------------------------------------------------------------
 
-def _corner_parts(fn, check, gap, rngs, n, h, fh):
+def _corner_parts(fns, check, gap, rngs, n, h, fhs):
     """Draw each trial's isometry V (a rank in 1..n-1, then a Haar unitary)
-    and yield one part per rank drawn: gap(fn, fh, h, V) for the trials of
-    that rank, with witness fields h1 = h and the projection p = VV*."""
+    and yield one part per rank drawn: gap(f, f(h), V, spectrum of V*hV) per
+    f of fns for the trials of that rank, given fhs, the f(h), with witness
+    fields h1 = h and the projection p = VV*."""
     ranks = np.array([int(g.integers(1, n)) for g in rngs])
     u = haar_unitary(rngs, n)
     for r in np.unique(ranks):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
-        yield (owner, gap(fn, fh[owner], h[owner], v),
+        corner = spectrum(compress(h[owner], v), fns[0].domain)
+        yield (owner, [gap(fn, fh[owner], v, corner) for fn, fh in zip(fns, fhs)],
                lambda i, h=h[owner], v=v: {"check": check, "dim": n, "h1": h[i],
                                            "p": v[i] @ v[i].conj().T})
 
 
-def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
-    """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
-    def probe(rngs, n):
+def check_convex(fn, config: CertifyConfig = CertifyConfig(), *,
+                 share: dict = None) -> Certificate:
+    """Jensen combinations (t = 1/2 plus random t) and corner compressions.
+    With ``share``, the call on f keeps f's positivity scan there and, when
+    f > 0, searches -1/f alongside; the call on NegRecip(f) returns or raises that."""
+    if share is not None:
+        if "recip" in share:
+            return _held(share.pop("recip"))
+        share["scan"] = _sign(fn)
+    fns = [fn, NegRecip(fn)] if share is not None and share["scan"] is None else [fn]
+
+    def probe(rngs, n, fns):
         h1 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
         h2 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
         ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
         h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
-        f1, f2, fh = apply_fn(fn, np.stack([h1, h2, h]))
-        gaps = _jensen_gap(fn, h1[:, None], h2[:, None], f1[:, None], f2[:, None],
-                           ts[..., None, None])
+        eig = spectrum(np.stack([h1, h2, h]), fn.domain)
+        fs = [apply_spectrum(f, eig) for f in fns]
+        mix = _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain)
         per = T_DRAWS + 1
-        yield (np.arange(len(rngs)).repeat(per), gaps.reshape(-1, n, n),
+        yield (np.arange(len(rngs)).repeat(per),
+               [_jensen_gap(f, f1[:, None], f2[:, None], ts[..., None, None], mix)
+                .reshape(-1, n, n) for f, (f1, f2, _) in zip(fns, fs)],
                lambda i: {"check": "jensen", "dim": n, "t": float(ts.flat[i]),
                           "h1": h1[i // per], "h2": h2[i // per]})
-        yield from _corner_parts(fn, "davis", _davis_gap, rngs, n, h, fh)
+        yield from _corner_parts(fns, "davis", _davis_gap, rngs, n, h, [f[2] for f in fs])
 
-    return _search("operator_convex", config, config.trials, config.dims, probe)
+    certs = _search("operator_convex", config, config.trials, config.dims, probe, fns)
+    if len(fns) > 1:
+        share["recip"] = certs[1]
+    return _held(certs[0])
 
 
 # --- strong convexity --------------------------------------------------------------
 
-def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+def check_strong(fn, config: CertifyConfig = CertifyConfig(), *,
+                 share: dict = None) -> Certificate:
     """Compression-domination trials, cross-checked through -1/f.
 
     f identically zero passes outright.  When the positivity scan clears f,
     the verdict of the direct inequality must agree with convexity of -1/f;
     disagreement is reported as "inconclusive" rather than picking a side.
+    With the ``share`` check_convex(f) filled, the scan and -1/f are read from it.
     """
     prop = "strongly_operator_convex"
-    try:
-        check_positive(fn.eval_real, fn.domain)
-        positive = True
-    except ZeroFunction:
+    scan = share["scan"] if share is not None else _sign(fn)
+    if isinstance(scan, ZeroFunction):
         return Certificate(prop, "pass", 0, config.tol, config.seed,
                            detail="identically zero on the scan grid")
-    except NotPositive:
-        positive = False
+    if scan is not None and not isinstance(scan, NotPositive):
+        raise scan
 
-    def probe(rngs, n):
+    def probe(rngs, n, fns):
         h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
-        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h, apply_fn(fn, h))
+        yield from _corner_parts(fns, "strong", _strong_gap, rngs, n, h, [apply_fn(fn, h)])
 
-    direct = _search(prop, config, config.trials, config.dims, probe)
-    if not positive:
+    direct = _held(_search(prop, config, config.trials, config.dims, probe, [fn])[0])
+    if scan is not None:
         if direct.verdict == "fail":
             return direct
         return replace(direct, verdict="inconclusive",
                        detail="not strictly positive on the scan grid, "
                               "yet no inequality violation was found")
 
-    recip = check_convex(NegRecip(fn), config)
+    recip = check_convex(NegRecip(fn), config, share=share)
     if direct.verdict == recip.verdict:
         return replace(direct, detail="confirmed via -1/f route")
     return replace(direct, verdict="inconclusive",
@@ -303,17 +354,12 @@ def loewner_matrix(fn, nodes) -> np.ndarray:
     return out
 
 
-def _node_window(fn) -> tuple:
-    win = fn.domain.clip(CLIP_LEN)
-    width = win.hi - win.lo
-    return win.lo + 0.01 * width, win.hi - 0.01 * width
-
-
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
-    lo, hi = _node_window(fn)
+    win = fn.domain.clip(CLIP_LEN)
+    lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
-    def probe(rngs, size):
+    def probe(rngs, size, fns):
         def draw(g):
             for _ in range(101):
                 nodes = g.uniform(lo, hi, size=size)
@@ -322,10 +368,10 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
             return nodes
 
         nodes = np.array([draw(g) for g in rngs])
-        yield (np.arange(len(rngs)), loewner_matrix(fn, nodes),
+        yield (np.arange(len(rngs)), [loewner_matrix(fn, nodes)],
                lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
 
-    return _search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
+    return _held(_search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe, [fn])[0])
 
 
 # --- upper half-plane ----------------------------------------------------------------
@@ -367,10 +413,11 @@ class ClassifyResult:
 
 def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
     """Run all five checks and cross-check the implications between them."""
+    share = {}
     certs = {
         "monotone": check_monotone(fn, config),
-        "convex": check_convex(fn, config),
-        "strong": check_strong(fn, config),
+        "convex": check_convex(fn, config, share=share),
+        "strong": check_strong(fn, config, share=share),
         "loewner": check_loewner(fn, config),
         "halfplane": check_halfplane(fn, config),
     }
@@ -398,17 +445,20 @@ def replay_witness(fn, cert: Certificate) -> float:
         raise ValueError("certificate carries no witness")
     kind = w.get("check")
     if kind == "halfplane":
-        return fn.eval_complex(complex(w["z"][0], w["z"][1])).imag
+        re, im = json_numbers(w["z"])
+        return fn.eval_complex(complex(re, im)).imag
     if kind == "loewner":
-        gap = loewner_matrix(fn, w["nodes"])
+        gap = loewner_matrix(fn, json_numbers(w["nodes"]))
     elif kind == "monotone":
         gap = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))
     elif kind == "jensen":
-        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
-        gap = _jensen_gap(fn, h1, h2, apply_fn(fn, h1), apply_fn(fn, h2), w["t"])
+        h1, h2, t = matrix_from_json(w["h1"]), matrix_from_json(w["h2"]), json_number(w["t"])
+        gap = _jensen_gap(fn, apply_fn(fn, h1), apply_fn(fn, h2), t,
+                          _mix(h1, h2, t, fn.domain))
     elif kind in ("davis", "strong"):
         h, v = matrix_from_json(w["h1"]), projection_basis(matrix_from_json(w["p"]))
-        gap = (_davis_gap if kind == "davis" else _strong_gap)(fn, apply_fn(fn, h), h, v)
+        gap = (_davis_gap if kind == "davis" else _strong_gap)(
+            fn, apply_fn(fn, h), v, spectrum(compress(h, v), fn.domain))
     else:
         raise ValueError(f"unknown witness check {kind!r}")
     return psd_min_eig(gap)

@@ -11,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularBlock, SpectrumOutsideDomain
-from .interval import Interval
+from .interval import Interval, json_numbers
 
 __all__ = [
-    "sym", "apply_fn", "psd_min_eig", "min_eig_floor", "spectral_norm",
-    "projection_basis", "complement_basis", "compress", "embed",
+    "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
+    "spectral_norm", "projection_basis", "complement_basis", "compress", "embed",
     "schur_complement", "haar_unitary", "rand_hermitian", "rand_ordered_pair",
     "matrix_to_json", "matrix_from_json",
 ]
@@ -52,18 +52,27 @@ def min_eig_floor(m: np.ndarray, tol: float = 1e-9) -> tuple:
     return eigs.min(-1), -tol * (1.0 + np.abs(eigs).max(-1))
 
 
-def apply_fn(fn, h: np.ndarray) -> np.ndarray:
-    """f(h) by spectral calculus, of a matrix or each of a (..., n, n) stack.
-    Eigenvalues that overshoot a closed endpoint by at most 1e-12 (relative)
-    snap onto it; any other outside f's domain raises SpectrumOutsideDomain."""
+def spectrum(h: np.ndarray, dom: Interval) -> tuple:
+    """(w, v) with h = v diag(w) v*, of a matrix or each of a (..., n, n) stack.
+    Eigenvalues that overshoot a closed endpoint of dom by at most 1e-12
+    (relative) snap onto it; any other outside dom raises SpectrumOutsideDomain."""
     w, v = np.linalg.eigh(sym(h))
-    dom = fn.domain
     ok = dom.mask(w, snap=ENDPOINT_SNAP)
     if not np.all(ok):
         raise SpectrumOutsideDomain(float(w[~ok][0]), dom)
-    w = w.clip(dom.lo, dom.hi)
+    return w.clip(dom.lo, dom.hi), v
+
+
+def apply_spectrum(fn, eig: tuple) -> np.ndarray:
+    """f(h) from eig = spectrum(h, dom) on a dom that f shares."""
+    w, v = eig
     vals = np.asarray(fn.eval_real(w), dtype=float)
     return sym((v * vals[..., None, :]) @ _adj(v))
+
+
+def apply_fn(fn, h: np.ndarray) -> np.ndarray:
+    """f(h) by spectral calculus, of a matrix or each of a (..., n, n) stack."""
+    return apply_spectrum(fn, spectrum(h, fn.domain))
 
 
 # --- projections and blocks -----------------------------------------------------
@@ -190,5 +199,6 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    return np.array([[complex(e[0], e[1]) for e in row] for row in rows],
-                    dtype=complex)
+    """The inverse of matrix_to_json; every entry is a JSON [re, im] pair."""
+    pairs = [[json_numbers(e) for e in row] for row in rows]
+    return np.array([[complex(re, im) for re, im in row] for row in pairs], dtype=complex)

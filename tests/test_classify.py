@@ -20,7 +20,7 @@ from loewner import (
     loewner_matrix,
     replay_witness,
 )
-from loewner.classify import _search
+from loewner.classify import _held, _search
 from loewner.errors import DomainError, DuplicateNodes, NonFiniteValue
 from loewner.funexpr import NegRecip
 from loewner.matcalc import matrix_from_json
@@ -249,7 +249,8 @@ def test_classify_all_flags_a_broken_implication(monkeypatch, verdicts, flag):
     from loewner import classify
     for name in ("monotone", "convex", "strong", "loewner", "halfplane"):
         cert = Certificate(name, verdicts.get(name, "inconclusive"), 0, 1e-9, 0)
-        monkeypatch.setattr(classify, f"check_{name}", lambda fn, config, c=cert: c)
+        monkeypatch.setattr(classify, f"check_{name}",
+                            lambda fn, config, *, share=None, c=cert: c)
     assert classify_all(SQRT, QUICK).flags == (flag,)
 
 
@@ -282,29 +283,27 @@ def test_replay_rejects_unknown_check():
 def test_chunks_double_up_to_the_cap():
     sizes = []
 
-    def probe(rngs, size):
+    def probe(rngs, size, fns):
         sizes.append(len(rngs))
-        yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), None
+        yield np.arange(len(rngs)), [np.stack([np.eye(size)] * len(rngs))], None
 
-    assert _search("synthetic", CertifyConfig(), 100, (2,), probe).verdict == "pass"
-    assert sizes == [1, 1, 2, 4, 8, 16, 32, 32, 4]
+    assert _search("synthetic", CertifyConfig(), 300, (2,), probe, [None])[0].verdict == "pass"
+    assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 44]
 
 
-def _synthetic_probe(outcomes):
-    """A probe of 2x2 gaps that are PSD, except where ``outcomes`` maps a trial
-    to "fail" (an eigenvalue -1), "nan" (a NaN entry) or "raise" (evaluating
-    its stack raises).  A trial is known by the first draw of its stream."""
-    by_draw = {np.random.default_rng([0, t]).uniform(): kind for t, kind in outcomes.items()}
-
-    def probe(rngs, size):
-        kinds = [by_draw.get(g.uniform()) for g in rngs]
-        if "raise" in kinds:
-            raise DomainError("synthetic")
-        gaps = np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)])
-                         for k in kinds])
-        yield np.arange(len(rngs)), gaps, lambda i: {"check": "synthetic", "kind": kinds[i]}
-
-    return probe
+def _synthetic_probe(rngs, size, fns):
+    """A probe of 2x2 gaps that are PSD, except where a function of ``fns``, a
+    dict of outcomes, maps a trial to "fail" (an eigenvalue -1), "nan" (a NaN
+    entry) or "raise" (evaluating its stack raises).  A trial is known by the
+    first draw of its stream (the synthetic searches run trials 0..7)."""
+    draws = [g.uniform() for g in rngs]
+    trials = {np.random.default_rng([0, t]).uniform(): t for t in range(8)}
+    kinds = [[outcomes.get(trials[d]) for d in draws] for outcomes in fns]
+    if any("raise" in ks for ks in kinds):
+        raise DomainError("synthetic")
+    gaps = [np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)]) for k in ks])
+            for ks in kinds]
+    yield np.arange(len(rngs)), gaps, lambda i: {"check": "synthetic", "drawn": trials[draws[i]]}
 
 
 # Trials 5 and 6 share the chunk 4..7: with sizes (2,) they share the stacks
@@ -318,12 +317,12 @@ def _synthetic_probe(outcomes):
     ({}, None),
 ])
 def test_search_returns_the_lowest_failing_trial_of_a_chunk(outcomes, trial, sizes):
-    cert = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))
+    cert, = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe, [outcomes])
     if trial is None:
         assert (cert.verdict, cert.trials) == ("pass", 8)
     else:
         assert (cert.verdict, cert.trials, cert.witness["trial"]) == ("fail", trial + 1, trial)
-        assert cert.witness["kind"] == "fail"
+        assert cert.witness["drawn"] == trial
 
 
 @pytest.mark.parametrize("outcomes, error, message", [
@@ -333,4 +332,23 @@ def test_search_returns_the_lowest_failing_trial_of_a_chunk(outcomes, trial, siz
 @pytest.mark.parametrize("sizes", [(2,), (2, 3)])
 def test_search_raises_for_the_lowest_trial_of_a_chunk(outcomes, error, message, sizes):
     with pytest.raises(error, match=message):
-        _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))
+        _held(_search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe,
+                      [outcomes])[0])
+
+
+# A function of a joint search gets what a search of its own gives, whatever
+# the other function does in the same chunks.
+
+@pytest.mark.parametrize("sizes", [(2,), (2, 3)])
+@pytest.mark.parametrize("other", [{}, {6: "raise"}, {5: "nan"}, {1: "fail"}, {0: "raise"}])
+@pytest.mark.parametrize("outcomes", [{}, {5: "fail", 6: "raise"}, {5: "nan", 6: "fail"},
+                                      {0: "raise"}, {3: "fail"}])
+def test_a_joint_search_gives_each_function_its_own_outcome(outcomes, other, sizes):
+    def alone(fn):
+        out, = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe, [fn])
+        return repr(out) if isinstance(out, Exception) else out
+
+    joint = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe,
+                    [outcomes, other])
+    got = [repr(o) if isinstance(o, Exception) else o for o in joint]
+    assert got == [alone(outcomes), alone(other)]

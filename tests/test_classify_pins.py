@@ -21,6 +21,7 @@ from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE, random_om_rep
 from loewner import (
     Certificate,
     CertifyConfig,
+    Constant,
     DiffQuot,
     DiscreteMeasure,
     Interval,
@@ -29,10 +30,14 @@ from loewner import (
     Power,
     Quotient,
     SOCRep,
+    check_convex,
     check_monotone,
+    check_strong,
     classify_all,
     replay_witness,
 )
+from loewner.errors import DomainError
+from loewner.funexpr import NegRecip
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
 
@@ -162,3 +167,60 @@ def test_default_config_classify_all_is_bitwise_pinned(name):
     got = {check: replay_witness(fn, Certificate.from_json(cert_json)).hex()
            for check, cert_json in doc["certificates"].items() if "witness" in cert_json}
     assert got == replays
+
+
+# --- classify_all searches -1/f alongside f: the shared search must give what
+# check_convex and check_strong give alone
+
+SHARED_QUICK = {
+    **FUNCTIONS,
+    "routes_disagree": Quotient((1.0, 0.0, -1e-8), (1.0,), Interval(0.0, 1.0)),
+    "not_positive": Constant(-1e-12, Interval(0.0, 1.0)),
+    "zero": Constant(0.0, Interval(0.0, 1.0)),
+    # -1/f fails at trial 0 while the direct route passes
+    "recip_fails_first": Power(-200.0, Interval(0.5, 20.0)),
+}
+
+
+@pytest.mark.parametrize("fn, config", [
+    *((fn, QUICK) for fn in SHARED_QUICK.values()),
+    (DEFAULT_FUNCTIONS["soc_pass"], CertifyConfig()),
+], ids=[*SHARED_QUICK, "soc_pass_default"])
+def test_shared_certificates_equal_standalone_ones(fn, config):
+    certs = classify_all(fn, config).certificates
+    assert certs["convex"] == check_convex(fn, config)
+    assert certs["strong"] == check_strong(fn, config)
+
+
+def test_classify_all_raises_what_the_standalone_checks_raise(monkeypatch):
+    # -1/f raises from trial 28 on, inside the chunk of trials 16..31
+    val = NegRecip._val
+
+    def raising(self, xs):
+        if np.max(xs) > 9.92:
+            raise DomainError(f"synthetic at {float(np.max(xs))!r}")
+        return val(self, xs)
+
+    monkeypatch.setattr(NegRecip, "_val", raising)
+    with pytest.raises(DomainError) as alone:
+        check_strong(RECIP, QUICK)
+    with pytest.raises(DomainError) as shared:
+        classify_all(RECIP, QUICK)
+    assert str(shared.value) == str(alone.value) == "synthetic at 9.925718961480865"
+
+
+# Eigendecompositions (eigh and eigvalsh calls) of one default-config
+# classify_all on a passing input: the -1/f route shares the draws and
+# eigendecompositions of f's convexity search, in chunks of up to 64 trials
+# (2,003 when it ran its own search in chunks of 32).
+CLASSIFY_MAX_EIGENSOLVES = 1185
+
+
+def test_classify_all_eigensolves_stay_within_budget(monkeypatch):
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, solve=solve, **kw: calls.append(1) or solve(*a, **kw))
+    assert classify_all(DEFAULT_FUNCTIONS["soc_pass"]).flags == ()
+    assert len(calls) <= CLASSIFY_MAX_EIGENSOLVES

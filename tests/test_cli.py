@@ -483,6 +483,7 @@ def test_report_requires_classify_result(tmp_path):
     assert main(["report", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
 
 
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
 MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
         "tolerance": 1e-9, "seed": 0}
 
@@ -495,7 +496,22 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
     [MONO],
     {"monotone": {**MONO, "witness": {"check": "loewner", "nodes": [0.5, 2.0],
                                       "min_eig": "-1"}}},
-], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list", "min-eig-string"])
+    {"monotone": {**MONO, "witness": {"check": "loewner", "nodes": ["0.5", "2"],
+                                      "min_eig": -1.0}}},
+    {"halfplane": {**MONO, "property": "halfplane",
+                   "witness": {"check": "halfplane", "z": [True, True], "min_eig": -1.0}}},
+    {"convex": {**MONO, "property": "operator_convex",
+                "witness": {"check": "jensen", "t": True, "h1": EYE2, "h2": EYE2,
+                            "min_eig": -1.0}}},
+    {"monotone": {**MONO, "witness": {"check": "monotone", "h1": [[[True, 0.0], [0.0, 0.0]],
+                                                                 [[0.0, 0.0], [1.0, 0.0]]],
+                                      "h2": EYE2, "min_eig": -1.0}}},
+    {"monotone": {**MONO, "trials": "many"}},
+    {"monotone": {**MONO, "seed": "0"}},
+    {"monotone": {**MONO, "tolerance": True}},
+], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list", "min-eig-string",
+        "nodes-strings", "z-bools", "t-bool", "matrix-entry-bool", "trials-string",
+        "seed-string", "tolerance-bool"])
 def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, certificates):
     spec = write_spec(tmp_path, {"function": to_json(SQUARE),
                                  "result": {"certificates": certificates}})
