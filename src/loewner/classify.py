@@ -12,29 +12,25 @@ Checks:
 * convex              Jensen midpoints plus the compression inequality
                       f(V*hV) <= V*f(h)V  (corner form)
 * strong convexity    V f(V*hV) V*  <=  f(h)  (full-space comparison),
-                      cross-checked against convexity of -1/f when f > 0
+                      cross-checked by the paper's iff: g is strongly convex
+                      iff (x - x0) g(x) is operator monotone (loewner below)
 * loewner             divided-difference matrices at random nodes are PSD
 * halfplane           Im f(z) >= 0 on a grid in the upper half-plane
 
-classify_all searches convexity of f and of -1/f (the second route of strong
-convexity) together, on one set of draws and eigendecompositions.
+A matrix that must be PSD counts as PSD when its smallest eigenvalue is not
+below -tol * scale, where scale is the size of the operands it was computed
+from, so multiplying f by a positive constant moves no verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 
-from .errors import (
-    DuplicateNodes,
-    LoewnerError,
-    NonFiniteValue,
-    NotPositive,
-    ZeroFunction,
-)
-from .funexpr import NegRecip
+from .errors import DuplicateNodes, LoewnerError, NonFiniteValue
+from .funexpr import MulLinear
 from .interval import json_number, json_numbers
 from .matcalc import (
     apply_fn,
@@ -52,7 +48,7 @@ from .matcalc import (
     spectrum,
     sym,
 )
-from .scanning import check_positive
+from .scanning import is_zero_on_grid
 
 __all__ = [
     "Certificate", "CertifyConfig",
@@ -70,6 +66,10 @@ CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
 CHUNK = 64                       # most trials drawn and evaluated together
+# (a, b): a pass of check a implies a pass of check b; by Loewner's theorem,
+# monotone, loewner and halfplane imply one another
+IMPLICATIONS = (("strong", "convex"), ("monotone", "loewner"), ("monotone", "halfplane"),
+                ("halfplane", "monotone"), ("halfplane", "loewner"))
 
 
 @dataclass(frozen=True)
@@ -117,25 +117,23 @@ class Certificate:
                            d.get("witness"), d.get("detail", ""))
 
 
-def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, fns, trials):
-    """Evaluate the trials, those of one size as stacks: per function of fns the fail
-    certificate of its lowest bad gap, or None; NonFiniteValue if it is not finite."""
+def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
+    """Evaluate the trials, those of one size as stacks: the fail certificate of
+    the lowest bad gap, or None; NonFiniteValue if that gap is not finite."""
     groups = {}
     for trial in trials:
         groups.setdefault(sizes[trial % len(sizes)], []).append(trial)
-    found = [[] for _ in fns]     # per fn: (trial, part, fields, index, min eig or None)
+    hits = []     # (trial, part, fields, index, min eig or None)
     for size, members in groups.items():
         rngs = [np.random.default_rng([config.seed, t]) for t in members]
-        for part, (owner, gaps, fields) in enumerate(probe(rngs, size, fns)):
-            for hits, gap in zip(found, gaps):
-                finite = np.isfinite(gap).all(axis=(-2, -1))
-                mn, floor = min_eig_floor(np.where(finite[:, None, None], gap, 0.0),
-                                          config.tol)
-                for i in np.flatnonzero(~finite | (mn < floor))[:1]:
-                    hits.append((members[owner[i]], part, fields, i,
-                                 float(mn[i]) if finite[i] else None))
-    return [_fail(prop, config, *min(hits, key=lambda f: f[:2])) if hits else None
-            for hits in found]
+        for part, (owner, gap, scale, fields) in enumerate(probe(rngs, size)):
+            finite = np.isfinite(gap).all(axis=(-2, -1))
+            mn, floor = min_eig_floor(np.where(finite[:, None, None], gap, 0.0),
+                                      scale, config.tol)
+            for i in np.flatnonzero(~finite | (mn < floor))[:1]:
+                hits.append((members[owner[i]], part, fields, i,
+                             float(mn[i]) if finite[i] else None))
+    return _fail(prop, config, *min(hits, key=lambda f: f[:2])) if hits else None
 
 
 def _fail(prop: str, config: CertifyConfig, trial, _, fields, i, mn) -> Certificate:
@@ -151,63 +149,52 @@ def _fail(prop: str, config: CertifyConfig, trial, _, fields, i, mn) -> Certific
 
 
 def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
-            probe, fns) -> list:
-    """Trials 0..count-1 of each of fns (functions on one domain) in chunks
-    [0], [1], [2, 3], [4..7], ... of at most CHUNK; trial k has size
-    sizes[k % len(sizes)], stream default_rng([seed, k]).
+            probe) -> Certificate:
+    """Trials 0..count-1 in chunks [0], [1], [2, 3], [4..7], ... of at most
+    CHUNK; trial k has size sizes[k % len(sizes)], stream default_rng([seed, k]).
 
-    ``probe(rngs, size, fns)`` draws from each stream what one trial draws, in
-    its order, and yields parts (owner, gaps, fields): per function a stack of
-    matrices that must be PSD, the position in rngs of each one's trial, and
-    fields(i), the witness of gap i.  Per function, the first gap in (trial,
-    probe) order that is not finite or is below its floor decides, and the
-    function leaves the search.  A chunk that raises runs again per function,
-    then one trial at a time.  Returns per function its Certificate or error.
+    ``probe(rngs, size)`` draws from each stream what one trial draws, in its
+    order, and yields parts (owner, gap, scale, fields): a stack of matrices
+    that must be PSD, the scale of each one's floor, the position in rngs of
+    each one's trial, and fields(i), the witness of gap i.  The first gap in
+    (trial, probe) order that is not finite or is below its floor decides.  A
+    chunk that raises runs again one trial at a time, and the lowest trial's
+    error propagates.
     """
     scan = partial(_scan, prop, config, sizes, probe)
 
-    def attempt(fns, trials):
+    def attempt(trials):
         try:
-            return scan(fns, trials)
-        except LoewnerError as err:
-            if len(fns) > 1:
-                return [attempt([fn], trials)[0] for fn in fns]
+            return scan(trials)
+        except LoewnerError:
             if len(trials) == 1:
-                return [err.with_traceback(None)]
-            return [next(filter(None, (attempt(fns, [t])[0] for t in trials)), None)]
+                raise
+            return next(filter(None, (attempt([t]) for t in trials)), None)
 
-    out = [None] * len(fns)
     stop = 0
-    while stop < count and None in out:
+    while stop < count:
         chunk = range(stop, min(count, max(2 * stop, 1), stop + CHUNK))
         stop = chunk.stop
-        live = [j for j, o in enumerate(out) if o is None]
-        for j, o in zip(live, attempt([fns[j] for j in live], chunk)):
-            out[j] = o
-    return [o or Certificate(prop, "pass", count, config.tol, config.seed) for o in out]
+        found = attempt(chunk)
+        if found:
+            return found
+    return Certificate(prop, "pass", count, config.tol, config.seed)
 
 
-def _held(outcome) -> Certificate:
-    """A search outcome: its Certificate, or raise its LoewnerError."""
-    if isinstance(outcome, LoewnerError):
-        raise outcome
-    return outcome
+# --- the inequalities: each returns the matrix (or stack) that must be PSD and
+# the scale of its floor --------------------------------------------------------
+
+def _scale(*operands) -> np.ndarray:
+    """The largest infinity-norm (absolute row sum) of the operands, per matrix
+    of a stack: for a Hermitian n x n matrix, between its spectral norm and
+    sqrt(n) times that."""
+    return reduce(np.maximum, (np.abs(m).sum(-1).max(-1) for m in operands))
 
 
-def _sign(fn):
-    """None when the positivity scan clears f, else the error it raised."""
-    try:
-        check_positive(fn.eval_real, fn.domain)
-    except LoewnerError as err:
-        return err.with_traceback(None)  # its frames would hold the holder in a cycle
-
-
-# --- the inequalities: each returns the matrix (or stack) that must be PSD -------
-
-def _monotone_gap(fn, h1, h2) -> np.ndarray:
+def _monotone_gap(fn, h1, h2) -> tuple:
     """f(h2) - f(h1) for h1 <= h2."""
     f1, f2 = apply_fn(fn, np.stack([h1, h2]))
-    return f2 - f1
+    return f2 - f1, _scale(f1, f2)
 
 
 def _mix(h1, h2, t, dom) -> tuple:
@@ -215,134 +202,115 @@ def _mix(h1, h2, t, dom) -> tuple:
     return spectrum(sym(t * h1 + (1.0 - t) * h2), dom)
 
 
-def _jensen_gap(fn, f1, f2, t, mix) -> np.ndarray:
+def _jensen_gap(fn, f1, f2, t, mix) -> tuple:
     """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2) from f(h1), f(h2), _mix(h1, h2, t)."""
-    return t * f1 + (1.0 - t) * f2 - apply_spectrum(fn, mix)
+    fm = apply_spectrum(fn, mix)
+    return t * f1 + (1.0 - t) * f2 - fm, _scale(f1, f2, fm)
 
 
-def _davis_gap(fn, fh, v, corner) -> np.ndarray:
+def _davis_gap(fn, fh, v, corner) -> tuple:
     """V*f(h)V - f(V*hV) for an isometry V, given fh = f(h), corner = eig(V*hV)."""
-    return compress(fh, v) - apply_spectrum(fn, corner)
+    fc = apply_spectrum(fn, corner)
+    return compress(fh, v) - fc, _scale(fh, fc)
 
 
-def _strong_gap(fn, fh, v, corner) -> np.ndarray:
+def _strong_gap(fn, fh, v, corner) -> tuple:
     """f(h) - V f(V*hV) V* for an isometry V, given fh = f(h), corner = eig(V*hV)."""
-    return fh - embed(apply_spectrum(fn, corner), v)
+    fc = apply_spectrum(fn, corner)
+    return fh - embed(fc, v), _scale(fh, fc)
 
 
 # --- monotonicity -----------------------------------------------------------------
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    def probe(rngs, n, fns):
+    def probe(rngs, n):
         h1, h2 = rand_ordered_pair(rngs, n, fn.domain, CLIP_LEN)
-        yield (np.arange(len(rngs)), [_monotone_gap(fn, h1, h2)],
+        yield (np.arange(len(rngs)), *_monotone_gap(fn, h1, h2),
                lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
-    return _held(_search("operator_monotone", config, config.trials, config.dims,
-                         probe, [fn])[0])
+    return _search("operator_monotone", config, config.trials, config.dims, probe)
 
 
 # --- convexity -------------------------------------------------------------------
 
-def _corner_parts(fns, check, gap, rngs, n, h, fhs):
+def _corner_parts(fn, check, gap, rngs, n, h, fh):
     """Draw each trial's isometry V (a rank in 1..n-1, then a Haar unitary)
-    and yield one part per rank drawn: gap(f, f(h), V, spectrum of V*hV) per
-    f of fns for the trials of that rank, given fhs, the f(h), with witness
-    fields h1 = h and the projection p = VV*."""
+    and yield one part per rank drawn: gap(f, f(h), V, spectrum of V*hV) for
+    the trials of that rank, given fh = f(h), with witness fields h1 = h and
+    the projection p = VV*."""
     ranks = np.array([int(g.integers(1, n)) for g in rngs])
     u = haar_unitary(rngs, n)
     for r in np.unique(ranks):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
-        corner = spectrum(compress(h[owner], v), fns[0].domain)
-        yield (owner, [gap(fn, fh[owner], v, corner) for fn, fh in zip(fns, fhs)],
+        corner = spectrum(compress(h[owner], v), fn.domain)
+        yield (owner, *gap(fn, fh[owner], v, corner),
                lambda i, h=h[owner], v=v: {"check": check, "dim": n, "h1": h[i],
                                            "p": v[i] @ v[i].conj().T})
 
 
-def check_convex(fn, config: CertifyConfig = CertifyConfig(), *,
-                 share: dict = None) -> Certificate:
-    """Jensen combinations (t = 1/2 plus random t) and corner compressions.
-    With ``share``, the call on f keeps f's positivity scan there and, when
-    f > 0, searches -1/f alongside; the call on NegRecip(f) returns or raises that."""
-    if share is not None:
-        if "recip" in share:
-            return _held(share.pop("recip"))
-        share["scan"] = _sign(fn)
-    fns = [fn, NegRecip(fn)] if share is not None and share["scan"] is None else [fn]
-
-    def probe(rngs, n, fns):
+def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+    """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
+    def probe(rngs, n):
         h1 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
         h2 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
         ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
         h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
-        eig = spectrum(np.stack([h1, h2, h]), fn.domain)
-        fs = [apply_spectrum(f, eig) for f in fns]
+        f1, f2, fh = apply_spectrum(fn, spectrum(np.stack([h1, h2, h]), fn.domain))
         mix = _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain)
+        gap, scale = _jensen_gap(fn, f1[:, None], f2[:, None], ts[..., None, None], mix)
         per = T_DRAWS + 1
-        yield (np.arange(len(rngs)).repeat(per),
-               [_jensen_gap(f, f1[:, None], f2[:, None], ts[..., None, None], mix)
-                .reshape(-1, n, n) for f, (f1, f2, _) in zip(fns, fs)],
+        yield (np.arange(len(rngs)).repeat(per), gap.reshape(-1, n, n), scale.reshape(-1),
                lambda i: {"check": "jensen", "dim": n, "t": float(ts.flat[i]),
                           "h1": h1[i // per], "h2": h2[i // per]})
-        yield from _corner_parts(fns, "davis", _davis_gap, rngs, n, h, [f[2] for f in fs])
+        yield from _corner_parts(fn, "davis", _davis_gap, rngs, n, h, fh)
 
-    certs = _search("operator_convex", config, config.trials, config.dims, probe, fns)
-    if len(fns) > 1:
-        share["recip"] = certs[1]
-    return _held(certs[0])
+    return _search("operator_convex", config, config.trials, config.dims, probe)
 
 
 # --- strong convexity --------------------------------------------------------------
 
-def check_strong(fn, config: CertifyConfig = CertifyConfig(), *,
-                 share: dict = None) -> Certificate:
-    """Compression-domination trials, cross-checked through -1/f.
+def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+    """Compression-domination trials, cross-checked by the paper's iff.
 
-    f identically zero passes outright.  When the positivity scan clears f,
-    the verdict of the direct inequality must agree with convexity of -1/f;
-    disagreement is reported as "inconclusive" rather than picking a side.
-    With the ``share`` check_convex(f) filled, the scan and -1/f are read from it.
+    f identically zero on the scan grid passes outright, and a non-finite grid
+    value raises NonFiniteValue.  A fail of the direct inequality stands.  A
+    pass must agree with check_loewner of (x - x0) f(x), x0 the middle of the
+    sampled window, which is operator monotone iff f is strongly operator
+    convex; disagreement is reported as "inconclusive", with the Loewner
+    witness and its x0, rather than picking a side.
     """
     prop = "strongly_operator_convex"
-    scan = share["scan"] if share is not None else _sign(fn)
-    if isinstance(scan, ZeroFunction):
+    if is_zero_on_grid(fn.eval_real, fn.domain):
         return Certificate(prop, "pass", 0, config.tol, config.seed,
                            detail="identically zero on the scan grid")
-    if scan is not None and not isinstance(scan, NotPositive):
-        raise scan
 
-    def probe(rngs, n, fns):
+    def probe(rngs, n):
         h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
-        yield from _corner_parts(fns, "strong", _strong_gap, rngs, n, h, [apply_fn(fn, h)])
+        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h, apply_fn(fn, h))
 
-    direct = _held(_search(prop, config, config.trials, config.dims, probe, [fn])[0])
-    if scan is not None:
-        if direct.verdict == "fail":
-            return direct
-        return replace(direct, verdict="inconclusive",
-                       detail="not strictly positive on the scan grid, "
-                              "yet no inequality violation was found")
-
-    recip = check_convex(NegRecip(fn), config, share=share)
-    if direct.verdict == recip.verdict:
-        return replace(direct, detail="confirmed via -1/f route")
-    return replace(direct, verdict="inconclusive",
-                   witness=direct.witness or recip.witness,
-                   detail=f"routes disagree: direct {direct.verdict}, "
-                          f"-1/f {recip.verdict}")
+    direct = _search(prop, config, config.trials, config.dims, probe)
+    if direct.verdict == "fail":
+        return direct
+    win = fn.domain.clip(CLIP_LEN)
+    x0 = 0.5 * (win.lo + win.hi)
+    iff = check_loewner(MulLinear(fn, x0), config)
+    if iff.verdict == "pass":
+        return replace(direct, detail="confirmed via (x - x0) f route")
+    return replace(direct, verdict="inconclusive", witness={**iff.witness, "x0": x0},
+                   detail="routes disagree: direct pass, (x - x0) f fail")
 
 
 # --- divided-difference matrices ----------------------------------------------------
 
-def loewner_matrix(fn, nodes) -> np.ndarray:
-    """Matrix of divided differences (f(xi)-f(xj))/(xi-xj), derivative on
-    the diagonal; over a (..., size) stack of node sets, a stack of them.
-    Nodes must be distinct points of the domain."""
+def _loewner_gap(fn, nodes) -> tuple:
+    """loewner_matrix(fn, nodes) and the scale of its floor: max |f(xi)| over
+    the smallest node gap, what rounding in f moves a divided difference by."""
     xs = np.asarray(nodes, dtype=float)
     srt = np.sort(xs, axis=-1)
-    if (srt[..., 1:] == srt[..., :-1]).any():
+    gaps = srt[..., 1:] - srt[..., :-1]
+    if (gaps == 0).any():
         raise DuplicateNodes(f"nodes contain repeats: {srt.tolist()}")
     vals = np.asarray(fn.eval_real(xs), dtype=float)
     der = np.asarray(fn.eval_deriv(xs), dtype=float)
@@ -351,7 +319,14 @@ def loewner_matrix(fn, nodes) -> np.ndarray:
     eye = np.eye(xs.shape[-1], dtype=bool)
     out = np.where(eye, 0.0, df / np.where(eye, 1.0, dx))
     out[..., eye] = der
-    return out
+    return out, np.abs(vals).max(-1) / gaps.min(-1)
+
+
+def loewner_matrix(fn, nodes) -> np.ndarray:
+    """Matrix of divided differences (f(xi)-f(xj))/(xi-xj), derivative on
+    the diagonal; over a (..., size) stack of node sets, a stack of them.
+    Nodes must be distinct points of the domain."""
+    return _loewner_gap(fn, nodes)[0]
 
 
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
@@ -359,7 +334,7 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     win = fn.domain.clip(CLIP_LEN)
     lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
-    def probe(rngs, size, fns):
+    def probe(rngs, size):
         def draw(g):
             for _ in range(101):
                 nodes = g.uniform(lo, hi, size=size)
@@ -368,10 +343,10 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
             return nodes
 
         nodes = np.array([draw(g) for g in rngs])
-        yield (np.arange(len(rngs)), [loewner_matrix(fn, nodes)],
+        yield (np.arange(len(rngs)), *_loewner_gap(fn, nodes),
                lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
 
-    return _held(_search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe, [fn])[0])
+    return _search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
 
 
 # --- upper half-plane ----------------------------------------------------------------
@@ -413,23 +388,16 @@ class ClassifyResult:
 
 def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
     """Run all five checks and cross-check the implications between them."""
-    share = {}
     certs = {
         "monotone": check_monotone(fn, config),
-        "convex": check_convex(fn, config, share=share),
-        "strong": check_strong(fn, config, share=share),
+        "convex": check_convex(fn, config),
+        "strong": check_strong(fn, config),
         "loewner": check_loewner(fn, config),
         "halfplane": check_halfplane(fn, config),
     }
-    flags = []
-    if certs["strong"].verdict == "pass" and certs["convex"].verdict == "fail":
-        flags.append("strong-pass-but-convex-fail")
-    if certs["monotone"].verdict == "pass" and certs["loewner"].verdict == "fail":
-        flags.append("monotone-pass-but-loewner-fail")
-    if (certs["monotone"].verdict == "pass"
-            and certs["halfplane"].verdict == "fail"):
-        flags.append("monotone-pass-but-halfplane-fail")
-    return ClassifyResult(certs, tuple(flags))
+    flags = tuple(f"{a}-pass-but-{b}-fail" for a, b in IMPLICATIONS
+                  if certs[a].verdict == "pass" and certs[b].verdict == "fail")
+    return ClassifyResult(certs, flags)
 
 
 # --- witness replay ---------------------------------------------------------------------
@@ -438,11 +406,15 @@ def replay_witness(fn, cert: Certificate) -> float:
     """Recompute the violated margin in a failure certificate from scratch.
 
     Returns the recomputed minimum eigenvalue (or Im value for the
-    half-plane check); callers compare it against witness["min_eig"].
+    half-plane check); callers compare it against witness["min_eig"].  A
+    witness with "x0" is one of (x - x0) f(x), the second route of strong
+    convexity.
     """
     w = cert.witness
     if not w:
         raise ValueError("certificate carries no witness")
+    if "x0" in w:
+        fn = MulLinear(fn, json_number(w["x0"]))
     kind = w.get("check")
     if kind == "halfplane":
         re, im = json_numbers(w["z"])
@@ -450,14 +422,14 @@ def replay_witness(fn, cert: Certificate) -> float:
     if kind == "loewner":
         gap = loewner_matrix(fn, json_numbers(w["nodes"]))
     elif kind == "monotone":
-        gap = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))
+        gap, _ = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))
     elif kind == "jensen":
         h1, h2, t = matrix_from_json(w["h1"]), matrix_from_json(w["h2"]), json_number(w["t"])
-        gap = _jensen_gap(fn, apply_fn(fn, h1), apply_fn(fn, h2), t,
-                          _mix(h1, h2, t, fn.domain))
+        gap, _ = _jensen_gap(fn, apply_fn(fn, h1), apply_fn(fn, h2), t,
+                             _mix(h1, h2, t, fn.domain))
     elif kind in ("davis", "strong"):
         h, v = matrix_from_json(w["h1"]), projection_basis(matrix_from_json(w["p"]))
-        gap = (_davis_gap if kind == "davis" else _strong_gap)(
+        gap, _ = (_davis_gap if kind == "davis" else _strong_gap)(
             fn, apply_fn(fn, h), v, spectrum(compress(h, v), fn.domain))
     else:
         raise ValueError(f"unknown witness check {kind!r}")

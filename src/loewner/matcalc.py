@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import SingularBlock, SpectrumOutsideDomain
-from .interval import Interval, json_numbers
+from .interval import Interval
 
 __all__ = [
     "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
@@ -44,12 +44,13 @@ def psd_min_eig(m: np.ndarray) -> float:
     return float(np.min(np.linalg.eigvalsh(sym(m))))
 
 
-def min_eig_floor(m: np.ndarray, tol: float = 1e-9) -> tuple:
-    """(smallest eigenvalue of the Hermitian part, -tol * (1 + ||m||)): the
-    matrix counts as PSD when the first is not below the second.  Over a
-    (..., n, n) stack, both are arrays with one entry per matrix."""
-    eigs = np.linalg.eigvalsh(sym(m))
-    return eigs.min(-1), -tol * (1.0 + np.abs(eigs).max(-1))
+def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
+    """(smallest eigenvalue of the Hermitian part, -tol * scale): the matrix
+    counts as PSD when the first is not below the second.  ``scale`` is the
+    size of the operands m was computed from, since rounding in a difference
+    grows with its operands, not with the difference (Weyl's inequality).
+    Over a (..., n, n) stack, both are arrays with one entry per matrix."""
+    return np.linalg.eigvalsh(sym(m)).min(-1), -tol * scale
 
 
 def spectrum(h: np.ndarray, dom: Interval) -> tuple:
@@ -199,6 +200,8 @@ def matrix_to_json(m: np.ndarray) -> list:
 
 
 def matrix_from_json(rows: list) -> np.ndarray:
-    """The inverse of matrix_to_json; every entry is a JSON [re, im] pair."""
-    pairs = [[json_numbers(e) for e in row] for row in rows]
-    return np.array([[complex(re, im) for re, im in row] for row in pairs], dtype=complex)
+    """The inverse of matrix_to_json: n rows of n JSON [re, im] pairs of numbers."""
+    m = np.array(rows, dtype=object)
+    if m.ndim != 3 or m.shape[1:] != (len(m), 2) or not {type(c) for c in m.flat} <= {int, float}:
+        raise TypeError(f"{rows!r} is not a square matrix of JSON [re, im] pairs")
+    return m.astype(float).view(complex)[..., 0]

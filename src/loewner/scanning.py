@@ -88,9 +88,18 @@ def _grid_values(fn, domain: Interval, n: int, window: float):
     return xs, np.asarray(fn(xs), dtype=float)
 
 
+def _finite_grid_values(fn, domain: Interval):
+    """(grid, values) on the default scan grid; NonFiniteValue on a NaN or inf."""
+    xs, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
+    odd = np.flatnonzero(~np.isfinite(vals))
+    if odd.size:
+        raise NonFiniteValue(f"value {vals[odd[0]]} at x={xs[odd[0]]!r} on the scan grid")
+    return xs, vals
+
+
 def is_zero_on_grid(fn, domain: Interval, tol: float = ZERO_TOL) -> bool:
-    _, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
-    return bool(np.all(np.abs(vals) <= tol))
+    """Whether |fn| <= tol on the scan grid; NonFiniteValue on a NaN or inf."""
+    return bool(np.all(np.abs(_finite_grid_values(fn, domain)[1]) <= tol))
 
 
 def check_positive(fn, domain: Interval) -> None:
@@ -103,10 +112,7 @@ def check_positive(fn, domain: Interval) -> None:
     or infinite grid value, ZeroFunction when the function vanishes
     identically, NotPositive otherwise.
     """
-    xs, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
-    odd = np.flatnonzero(~np.isfinite(vals))
-    if odd.size:
-        raise NonFiniteValue(f"value {vals[odd[0]]} at x={xs[odd[0]]!r} on the scan grid")
+    xs, vals = _finite_grid_values(fn, domain)
     if np.all(np.abs(vals) <= ZERO_TOL):
         raise ZeroFunction("function is identically zero on the scan grid")
     bad = np.flatnonzero(vals <= 0.0)

@@ -1,14 +1,20 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
 from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE
 
 from loewner import (
+    Affine,
     Certificate,
     CertifyConfig,
+    Compose,
     Constant,
     DiffQuot,
     Interval,
+    MulLinear,
     Power,
     Quotient,
     check_convex,
@@ -19,10 +25,12 @@ from loewner import (
     classify_all,
     loewner_matrix,
     replay_witness,
+    to_json,
 )
-from loewner.classify import _held, _search
+from loewner import classify
+from loewner.classify import _search
+from loewner.cli import main
 from loewner.errors import DomainError, DuplicateNodes, NonFiniteValue
-from loewner.funexpr import NegRecip
 from loewner.matcalc import matrix_from_json
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
@@ -82,7 +90,7 @@ def test_cube_fails_convex():
 def test_reciprocal_is_strongly_convex_via_both_routes():
     cert = check_strong(RECIP, QUICK)
     assert cert.verdict == "pass"
-    assert "confirmed via -1/f route" in cert.detail
+    assert "confirmed via (x - x0) f route" in cert.detail
 
 
 def test_zero_function_is_strongly_convex():
@@ -97,22 +105,54 @@ def test_zero_function_passes_strong_without_trials():
     assert cert.detail == "identically zero on the scan grid"
 
 
-def test_strong_is_inconclusive_when_f_is_not_strictly_positive():
-    # a tiny negative constant: no direct violation, but -1/f is unavailable
-    cert = check_strong(Constant(-1e-12, Interval(0.0, 1.0)), QUICK)
-    assert (cert.verdict, cert.trials, cert.witness) == ("inconclusive", 60, None)
-    assert cert.detail.startswith("not strictly positive on the scan grid")
-
-
-def test_strong_is_inconclusive_when_the_routes_disagree():
-    fn = Quotient((1.0, 0.0, -1e-8), (1.0,), Interval(0.0, 1.0))
+def test_strong_fails_a_tiny_negative_constant():
+    # the strong gap of c is c (I - P): for c = -1e-12 it is far below a floor
+    # relative to the operands, though not below -1e-9
+    fn = Constant(-1e-12, Interval(0.0, 1.0))
     cert = check_strong(fn, QUICK)
+    assert (cert.verdict, cert.trials, cert.witness["check"]) == ("fail", 1, "strong")
+    assert cert.detail == ""
+    assert abs(replay_witness(fn, cert) - cert.witness["min_eig"]) < REPLAY_TOL
+
+
+@pytest.mark.parametrize("c", [0.3, 1.0, 1000.0])
+def test_strong_fails_a_slightly_concave_quotient(c):
+    # c (1 - 1e-8 x^2) is operator concave on [0, 1], so not strongly convex;
+    # both the direct floor and the (x - x0) f route once let it through
+    fn = Quotient((c, 0.0, -1e-8 * c), (1.0,), Interval(0.0, 1.0))
+    cert = check_strong(fn, QUICK)
+    assert (cert.verdict, cert.witness["check"]) == ("fail", "strong")
+    # the gap's entries are rounded at the operands' size, c
+    assert abs(replay_witness(fn, cert) - cert.witness["min_eig"]) < REPLAY_TOL * c
+
+
+def test_strong_is_inconclusive_when_the_iff_route_fails(monkeypatch, tmp_path):
+    loewner, floor = classify.check_loewner, classify.min_eig_floor
+
+    def failing(fn, config):
+        # every divided-difference matrix counts as below its floor
+        with monkeypatch.context() as m:
+            m.setattr(classify, "min_eig_floor",
+                      lambda gap, scale, tol: (floor(gap, scale, tol)[0], np.inf))
+            return loewner(fn, config)
+
+    monkeypatch.setattr(classify, "check_loewner", failing)
+    cert = check_strong(RECIP, QUICK)
+    monkeypatch.undo()
     assert (cert.verdict, cert.trials) == ("inconclusive", 60)
-    assert cert.detail == "routes disagree: direct pass, -1/f fail"
-    # the witness is the -1/f route's, and it replays on -1/f
-    assert cert.witness == check_convex(NegRecip(fn), QUICK).witness
-    replayed = replay_witness(NegRecip(fn), cert)
-    assert abs(replayed - cert.witness["min_eig"]) < REPLAY_TOL
+    assert cert.detail == "routes disagree: direct pass, (x - x0) f fail"
+    w = cert.witness
+    # the Loewner witness of (x - x0) / x, x0 the middle of (0.1, 10)
+    assert (w["check"], w["trial"], w["x0"]) == ("loewner", 0, 5.05)
+    assert w["min_eig"] > 0   # (x - x0)/x is operator monotone: the matrix is PSD
+    assert abs(replay_witness(RECIP, cert) - w["min_eig"]) < REPLAY_TOL
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"function": to_json(RECIP),
+                                "result": {"certificates": {"strong": cert.to_json()}}}))
+    assert main(["report", "--spec", str(spec), "--out", str(tmp_path), "--replay"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["verdicts"]["strong"]["verdict"] == "inconclusive"
+    assert report["verdicts"]["strong"]["replay"]["match"] is True
 
 
 @pytest.mark.parametrize("dims", [(), (1,), (2, 1), (0, 3)])
@@ -215,6 +255,41 @@ def test_nan_function_raises_in_every_check(check):
         check(NAN, QUICK)
 
 
+# --- the PSD floor is relative to the operands ------------------------------------------
+
+def test_a_large_linear_function_is_convex():
+    # the Jensen gap of 1e5 x is rounding of operands near 1e6, far above 1e-9
+    assert check_convex(Affine(1e5, 0.0), QUICK).verdict == "pass"
+
+
+def test_a_tiny_decreasing_function_is_not_monotone():
+    # the monotone gaps of x^-400 on spectra in (1.3, 20) are near -1e-220
+    with np.errstate(under="ignore"):
+        cert = check_monotone(Power(-400.0), CertifyConfig(trials=5))
+    assert cert.verdict == "fail"
+
+
+def test_a_tiny_decreasing_product_fails_loewner():
+    # (x - 2) (-1e-12) is decreasing, so no divided-difference matrix is PSD
+    fn = MulLinear(Constant(-1e-12, Interval(0.0, 4.0, True, True)), 2.0)
+    cert = check_loewner(fn, QUICK)
+    assert cert.verdict == "fail"
+    assert abs(replay_witness(fn, cert) - cert.witness["min_eig"]) < REPLAY_TOL
+
+
+SCALED = {"sqrt": SQRT, "x^0.3": Power(0.3), "square": SQUARE, "x^1.5": Power(1.5),
+          "cube": CUBE, "recip": RECIP, "x^-1": Power(-1.0), "x^-0.5": Power(-0.5)}
+
+
+@pytest.mark.parametrize("name", SCALED)
+def test_verdicts_do_not_change_when_f_is_scaled(name):
+    fn = SCALED[name]
+    for check in (check_monotone, check_convex, check_strong, check_loewner):
+        verdicts = {c: check(Compose(Affine(c, 0.0), fn), QUICK).verdict
+                    for c in (1e-12, 1e12)}
+        assert verdicts == dict.fromkeys(verdicts, check(fn, QUICK).verdict), check.__name__
+
+
 # --- aggregate --------------------------------------------------------------------------
 
 def test_classify_all_on_a_decreasing_strongly_convex_function():
@@ -244,14 +319,21 @@ def test_classify_all_flags_nothing_for_sqrt():
     ({"strong": "pass", "convex": "fail"}, "strong-pass-but-convex-fail"),
     ({"monotone": "pass", "loewner": "fail"}, "monotone-pass-but-loewner-fail"),
     ({"monotone": "pass", "halfplane": "fail"}, "monotone-pass-but-halfplane-fail"),
-], ids=["strong-convex", "monotone-loewner", "monotone-halfplane"])
+    ({"halfplane": "pass", "monotone": "fail"}, "halfplane-pass-but-monotone-fail"),
+    ({"halfplane": "pass", "loewner": "fail"}, "halfplane-pass-but-loewner-fail"),
+], ids=["strong-convex", "monotone-loewner", "monotone-halfplane", "halfplane-monotone",
+        "halfplane-loewner"])
 def test_classify_all_flags_a_broken_implication(monkeypatch, verdicts, flag):
-    from loewner import classify
     for name in ("monotone", "convex", "strong", "loewner", "halfplane"):
         cert = Certificate(name, verdicts.get(name, "inconclusive"), 0, 1e-9, 0)
-        monkeypatch.setattr(classify, f"check_{name}",
-                            lambda fn, config, *, share=None, c=cert: c)
+        monkeypatch.setattr(classify, f"check_{name}", lambda fn, config, c=cert: c)
     assert classify_all(SQRT, QUICK).flags == (flag,)
+
+
+def test_classify_all_flags_a_halfplane_pass_of_the_square():
+    # the grid above [0, 20] sees Im z^2 > 0 only, though x^2 is not monotone
+    result = classify_all(Power(2.0, Interval(0.0, math.inf, lo_closed=True)), QUICK)
+    assert result.flags == ("halfplane-pass-but-monotone-fail", "halfplane-pass-but-loewner-fail")
 
 
 # --- certificates ------------------------------------------------------------------------
@@ -283,27 +365,30 @@ def test_replay_rejects_unknown_check():
 def test_chunks_double_up_to_the_cap():
     sizes = []
 
-    def probe(rngs, size, fns):
+    def probe(rngs, size):
         sizes.append(len(rngs))
-        yield np.arange(len(rngs)), [np.stack([np.eye(size)] * len(rngs))], None
+        yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), 1.0, None
 
-    assert _search("synthetic", CertifyConfig(), 300, (2,), probe, [None])[0].verdict == "pass"
+    assert _search("synthetic", CertifyConfig(), 300, (2,), probe).verdict == "pass"
     assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 44]
 
 
-def _synthetic_probe(rngs, size, fns):
-    """A probe of 2x2 gaps that are PSD, except where a function of ``fns``, a
-    dict of outcomes, maps a trial to "fail" (an eigenvalue -1), "nan" (a NaN
-    entry) or "raise" (evaluating its stack raises).  A trial is known by the
-    first draw of its stream (the synthetic searches run trials 0..7)."""
-    draws = [g.uniform() for g in rngs]
-    trials = {np.random.default_rng([0, t]).uniform(): t for t in range(8)}
-    kinds = [[outcomes.get(trials[d]) for d in draws] for outcomes in fns]
-    if any("raise" in ks for ks in kinds):
-        raise DomainError("synthetic")
-    gaps = [np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)]) for k in ks])
-            for ks in kinds]
-    yield np.arange(len(rngs)), gaps, lambda i: {"check": "synthetic", "drawn": trials[draws[i]]}
+def _synthetic_probe(outcomes):
+    """A probe of 2x2 gaps of scale 1 that are PSD, except where ``outcomes``
+    maps a trial to "fail" (an eigenvalue -1), "nan" (a NaN entry) or "raise"
+    (evaluating its stack raises).  A trial is known by the first draw of its
+    stream (the synthetic searches run trials 0..7)."""
+    def probe(rngs, size):
+        draws = [g.uniform() for g in rngs]
+        trials = {np.random.default_rng([0, t]).uniform(): t for t in range(8)}
+        kinds = [outcomes.get(trials[d]) for d in draws]
+        if "raise" in kinds:
+            raise DomainError("synthetic")
+        gaps = np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)])
+                         for k in kinds])
+        yield (np.arange(len(rngs)), gaps, np.ones(len(rngs)),
+               lambda i: {"check": "synthetic", "drawn": trials[draws[i]]})
+    return probe
 
 
 # Trials 5 and 6 share the chunk 4..7: with sizes (2,) they share the stacks
@@ -317,7 +402,7 @@ def _synthetic_probe(rngs, size, fns):
     ({}, None),
 ])
 def test_search_returns_the_lowest_failing_trial_of_a_chunk(outcomes, trial, sizes):
-    cert, = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe, [outcomes])
+    cert = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))
     if trial is None:
         assert (cert.verdict, cert.trials) == ("pass", 8)
     else:
@@ -332,23 +417,5 @@ def test_search_returns_the_lowest_failing_trial_of_a_chunk(outcomes, trial, siz
 @pytest.mark.parametrize("sizes", [(2,), (2, 3)])
 def test_search_raises_for_the_lowest_trial_of_a_chunk(outcomes, error, message, sizes):
     with pytest.raises(error, match=message):
-        _held(_search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe,
-                      [outcomes])[0])
+        _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe(outcomes))
 
-
-# A function of a joint search gets what a search of its own gives, whatever
-# the other function does in the same chunks.
-
-@pytest.mark.parametrize("sizes", [(2,), (2, 3)])
-@pytest.mark.parametrize("other", [{}, {6: "raise"}, {5: "nan"}, {1: "fail"}, {0: "raise"}])
-@pytest.mark.parametrize("outcomes", [{}, {5: "fail", 6: "raise"}, {5: "nan", 6: "fail"},
-                                      {0: "raise"}, {3: "fail"}])
-def test_a_joint_search_gives_each_function_its_own_outcome(outcomes, other, sizes):
-    def alone(fn):
-        out, = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe, [fn])
-        return repr(out) if isinstance(out, Exception) else out
-
-    joint = _search("synthetic", CertifyConfig(seed=0), 8, sizes, _synthetic_probe,
-                    [outcomes, other])
-    got = [repr(o) if isinstance(o, Exception) else o for o in joint]
-    assert got == [alone(outcomes), alone(other)]

@@ -6,7 +6,11 @@ certificate read back from its JSON.  The values were recorded from the
 per-check trial loops that the shared search (``classify._search``) and the
 shared inequality functions replaced, so a changed random stream, trial
 order, witness field, tolerance test or replayed matrix shows up here as a
-changed digest or bit.  They hold for numpy 2.4 with its bundled OpenBLAS on
+changed digest or bit.  Since the strong check's second route became the
+(x - x0) f Loewner check, the digests of recip, id_pos, dq_sqrt_1 and the
+default-config pins hold a new strong ``detail`` (and bent_pole the two
+halfplane flags); every verdict, trial count, witness and replayed bit is
+the one recorded before.  They hold for numpy 2.4 with its bundled OpenBLAS on
 x86-64; another LAPACK build may round eigenvalues differently.
 """
 
@@ -36,8 +40,6 @@ from loewner import (
     classify_all,
     replay_witness,
 )
-from loewner.errors import DomainError
-from loewner.funexpr import NegRecip
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
 
@@ -59,7 +61,7 @@ PINNED = {
         {"convex": "-0x1.25e2c54c3a870p-1",
          "strong": "-0x1.ee26b3320aba0p-5"}),
     "recip": (
-        "08dbd3045bb21981ffb9fba443be3d1dfd7813fce3e29efdb7afc3acc2ac66ab",
+        "2cfabc7eec96f4d2d9232e88a5dabdfeb25431d114300fd7827fb6a3e19e6d66",
         {"halfplane": "-0x1.3e9788dac5f41p+2",
          "loewner": "-0x1.3482d1c355a4ap-3",
          "monotone": "-0x1.ada8f0d6388a4p-3"}),
@@ -77,10 +79,10 @@ PINNED = {
          "monotone": "-0x1.6edfd3fa16a71p+4",
          "strong": "-0x1.6863e7eb650a9p+5"}),
     "id_pos": (
-        "2fedfce56e9321f3f69dbf83eaea277829eaad3188be0187b638d106aa14ae19",
+        "61bd2e9c91ea5af709328a8c404c8aff65e5e327c36004966daca597c969980e",
         {"strong": "-0x1.a73965531b458p-5"}),
     "dq_sqrt_1": (
-        "1f27a9b6ea748cc0da8e00a286be2e6b2fe2d60d87d6c064c0ae29189aaa476b",
+        "87328d01d9196ebb5856556da4a912c7266087b6f7b85eb45284959b67c2a596",
         {"halfplane": "-0x1.a8160b86cf7b8p-3",
          "loewner": "-0x1.a403af2778266p-6",
          "monotone": "-0x1.f5fa947efee19p-5"}),
@@ -120,7 +122,8 @@ UNIT = Interval(0.0, 1.0, lo_closed=True, hi_closed=True)
 
 
 @pytest.mark.parametrize("c, trial, dim, min_eig", [
-    (-2.6e-4, 73, 5, "-0x1.67ae9a89f5f1ap-30"),   # inside the chunk of trials 64..95
+    # inside the chunk of trials 32..63; at trial 73 under the floor -1e-9 (1 + ||gap||)
+    (-2.6e-4, 57, 3, "-0x1.20e56ce48eef8p-30"),
     (-3e-4, 4, 6, "-0x1.51113d0ce84aap-30"),      # first trial of the chunk 4..7
 ])
 def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, min_eig):
@@ -133,7 +136,8 @@ def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, m
 # Inputs shaped like perfbench's classify-pass requests (operator monotone,
 # strongly operator convex pole forms left of their poles), and a pole form
 # bent by -1e-5 (x^3 (2 - x)) whose convexity check first fails at trial 104
-# (a compression probe inside the chunk of trials 96..127).
+# (a compression probe inside the chunk of trials 96..127); its halfplane grid
+# passes, so it carries the flags halfplane-pass-but-{monotone,loewner}-fail.
 DEFAULT_FUNCTIONS = {
     "soc_pass": MeasureSOC(SOCRep(a=0.25, mu_plus=DiscreteMeasure(((2.5, 0.5), (4.0, 1.25))),
                                   mu_minus=DiscreteMeasure(()),
@@ -145,12 +149,12 @@ DEFAULT_FUNCTIONS = {
 
 # A pass certificate holds no per-trial data, so every all-pass document has
 # the same digest: the two pass pins assert verdicts and trial counts.
-ALL_PASS = "bf2218e4b829df6c9e996b8b2000f6eadbeba92da0e66ac0374914c0d1631d84"
+ALL_PASS = "435f297bbcce7895b4769c2b68b8458a8acdfb31153f45fa47f2c9aa1c37b60d"
 DEFAULT_PINNED = {
     "soc_pass": (ALL_PASS, {}),
     "quotient_pass": (ALL_PASS, {}),
     "bent_pole": (
-        "e337f9ba8ee6025ad760c115bff468f87e8c75e778a26eed3f1d3f88bedd436c",
+        "d56f597f458aed7619562ae536cc4fadbc2b9a8f7ec46e00659358808bf72c14",
         {"convex": "-0x1.6bb0f85907ac3p-30",
          "loewner": "-0x1.fd9781bfa1925p-24",
          "monotone": "-0x1.9ea01f4727cadp-29",
@@ -169,15 +173,16 @@ def test_default_config_classify_all_is_bitwise_pinned(name):
     assert got == replays
 
 
-# --- classify_all searches -1/f alongside f: the shared search must give what
-# check_convex and check_strong give alone
+# --- classify_all must give what check_convex and check_strong give alone.  The
+# extra ids name what these functions once tested: the two strong routes
+# disagreeing (1 - 1e-8 x^2, operator concave), f not positive, f zero, and
+# x^-200, which the old absolute floor passed as convex.
 
 SHARED_QUICK = {
     **FUNCTIONS,
     "routes_disagree": Quotient((1.0, 0.0, -1e-8), (1.0,), Interval(0.0, 1.0)),
     "not_positive": Constant(-1e-12, Interval(0.0, 1.0)),
     "zero": Constant(0.0, Interval(0.0, 1.0)),
-    # -1/f fails at trial 0 while the direct route passes
     "recip_fails_first": Power(-200.0, Interval(0.5, 20.0)),
 }
 
@@ -192,28 +197,12 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
     assert certs["strong"] == check_strong(fn, config)
 
 
-def test_classify_all_raises_what_the_standalone_checks_raise(monkeypatch):
-    # -1/f raises from trial 28 on, inside the chunk of trials 16..31
-    val = NegRecip._val
-
-    def raising(self, xs):
-        if np.max(xs) > 9.92:
-            raise DomainError(f"synthetic at {float(np.max(xs))!r}")
-        return val(self, xs)
-
-    monkeypatch.setattr(NegRecip, "_val", raising)
-    with pytest.raises(DomainError) as alone:
-        check_strong(RECIP, QUICK)
-    with pytest.raises(DomainError) as shared:
-        classify_all(RECIP, QUICK)
-    assert str(shared.value) == str(alone.value) == "synthetic at 9.925718961480865"
-
-
 # Eigendecompositions (eigh and eigvalsh calls) of one default-config
-# classify_all on a passing input: the -1/f route shares the draws and
-# eigendecompositions of f's convexity search, in chunks of up to 64 trials
-# (2,003 when it ran its own search in chunks of 32).
-CLASSIFY_MAX_EIGENSOLVES = 1185
+# classify_all on a passing input, in chunks of up to 64 trials, with strong
+# convexity's second route the (x - x0) f Loewner check (1,185 when it was
+# convexity of -1/f on the draws of f's convexity search, 2,003 when that
+# ran its own search in chunks of 32).
+CLASSIFY_MAX_EIGENSOLVES = 1017
 
 
 def test_classify_all_eigensolves_stay_within_budget(monkeypatch):

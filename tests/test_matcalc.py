@@ -189,8 +189,9 @@ def test_stacked_apply_sym_and_floor_equal_per_matrix_calls(n):
     ms = hs + 0.1j * hs.real  # not Hermitian, so sym has work to do
     assert np.array_equal(apply_fn(RECIP, hs), np.stack([apply_fn(RECIP, h) for h in hs]))
     assert np.array_equal(sym(ms), np.stack([sym(m) for m in ms]))
-    mn, floor = min_eig_floor(ms - 5.0 * np.eye(n), 1e-9)
-    singles = [min_eig_floor(m - 5.0 * np.eye(n), 1e-9) for m in ms]
+    scales = np.abs(ms).sum(-1).max(-1)
+    mn, floor = min_eig_floor(ms - 5.0 * np.eye(n), scales, 1e-9)
+    singles = [min_eig_floor(m - 5.0 * np.eye(n), s, 1e-9) for m, s in zip(ms, scales)]
     assert mn.tolist() == [s[0] for s in singles]
     assert floor.tolist() == [s[1] for s in singles]
 
