@@ -6,7 +6,7 @@ The package has three layers:
 * representations and evaluation — ``funexpr`` (expression trees),
   ``measures`` (discrete integral forms), ``ratpoly`` (exact rational forms);
 * certification — ``classify`` (randomized operator-inequality checks,
-  divided-difference matrices, half-plane grid) over ``matcalc``;
+  divided-difference and Pick matrices) over ``matcalc``;
 * construction — ``transforms`` (single checked steps) and ``processes``
   (the forward cycle, the repeated-quotient ladder, the backward cycle).
 """

@@ -15,7 +15,8 @@ Checks:
                       cross-checked by the paper's iff: g is strongly convex
                       iff (x - x0) g(x) is operator monotone (loewner below)
 * loewner             divided-difference matrices at random nodes are PSD
-* halfplane           Im f(z) >= 0 on a grid in the upper half-plane
+* halfplane           Pick matrices at random nodes of the upper half-plane
+                      are PSD
 
 A matrix that must be PSD counts as PSD when its smallest eigenvalue is not
 below -tol * scale, where scale is the size of the operands it was computed
@@ -57,10 +58,6 @@ __all__ = [
     "classify_all", "ClassifyResult", "replay_witness",
 ]
 
-HALFPLANE_TOL = 1e-10
-HALFPLANE_RE_POINTS = 50         # real parts spanning the domain window
-HALFPLANE_IM_POINTS = 50         # imaginary parts, log-spaced over the range
-HALFPLANE_IM_RANGE = (1e-3, 10.0)
 T_DRAWS = 8                      # random Jensen weights per convexity trial
 CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
@@ -349,28 +346,33 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     return _search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
 
 
-# --- upper half-plane ----------------------------------------------------------------
+# --- Pick matrices in the upper half-plane ---------------------------------------------
+
+def _pick_gap(fn, zs) -> tuple:
+    """The Pick matrix (f(zi) - conj f(zj)) / (zi - conj zj) of a (..., size)
+    stack of upper half-plane nodes, and the scale of its floor: max |f(zi)|
+    over the smallest |zi - conj zj|, what rounding in f moves an entry by."""
+    vals = fn.eval_complex(zs)
+    dz = zs[..., :, None] - zs.conj()[..., None, :]
+    return ((vals[..., :, None] - vals.conj()[..., None, :]) / dz,
+            np.abs(vals).max(-1) / np.abs(dz).min((-2, -1)))
+
 
 def check_halfplane(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
-    """Im f(z) on a log-spaced grid above the domain window must stay
-    above -1e-10; the holomorphic extension of a monotone function maps the
-    upper half-plane into itself.  A NaN or infinite f(z) raises
-    NonFiniteValue."""
+    """Random node sets z = mid + half r e^(i theta) around the sampled window,
+    r log-uniform in [1e-3, 10], theta in (0, pi]: every Pick matrix must be
+    PSD, as it is for a Pick function, the holomorphic extension of a monotone
+    one (Loewner; Pick)."""
     win = fn.domain.clip(CLIP_LEN)
-    res = np.linspace(win.lo, win.hi, HALFPLANE_RE_POINTS)
-    ims = np.geomspace(*HALFPLANE_IM_RANGE, HALFPLANE_IM_POINTS)
-    zs = res[None, :] + 1j * ims[:, None]
-    vals = fn.eval_complex(zs)
-    if not np.isfinite(vals).all():
-        raise NonFiniteValue("f(z) is not finite on the half-plane grid")
-    imv = np.asarray(vals).imag
-    flat = np.argmin(imv)
-    worst, z = float(imv.ravel()[flat]), complex(zs.ravel()[flat])
-    if worst < -HALFPLANE_TOL:
-        witness = {"check": "halfplane", "z": [z.real, z.imag], "min_eig": worst}
-        return Certificate("halfplane", "fail", imv.size, HALFPLANE_TOL,
-                           config.seed, witness)
-    return Certificate("halfplane", "pass", imv.size, HALFPLANE_TOL, config.seed)
+    mid, half = 0.5 * (win.lo + win.hi), 0.5 * (win.hi - win.lo)
+
+    def probe(rngs, size):
+        zs = mid + half * np.exp([g.uniform(np.log(1e-3), np.log(10.0), size)
+                                  + 1j * np.pi * (1.0 - g.random(size)) for g in rngs])
+        yield (np.arange(len(rngs)), *_pick_gap(fn, zs),
+               lambda i: {"check": "pick", "nodes": [[z.real, z.imag] for z in zs[i].tolist()]})
+
+    return _search("halfplane", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
 
 
 # --- everything at once ---------------------------------------------------------------
@@ -405,10 +407,9 @@ def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
 def replay_witness(fn, cert: Certificate) -> float:
     """Recompute the violated margin in a failure certificate from scratch.
 
-    Returns the recomputed minimum eigenvalue (or Im value for the
-    half-plane check); callers compare it against witness["min_eig"].  A
-    witness with "x0" is one of (x - x0) f(x), the second route of strong
-    convexity.
+    Returns the recomputed minimum eigenvalue; callers compare it against
+    witness["min_eig"].  A witness with "x0" is one of (x - x0) f(x), the
+    second route of strong convexity.
     """
     w = cert.witness
     if not w:
@@ -416,10 +417,9 @@ def replay_witness(fn, cert: Certificate) -> float:
     if "x0" in w:
         fn = MulLinear(fn, json_number(w["x0"]))
     kind = w.get("check")
-    if kind == "halfplane":
-        re, im = json_numbers(w["z"])
-        return fn.eval_complex(complex(re, im)).imag
-    if kind == "loewner":
+    if kind == "pick":
+        gap, _ = _pick_gap(fn, np.array([complex(*json_numbers(z)) for z in w["nodes"]]))
+    elif kind == "loewner":
         gap = loewner_matrix(fn, json_numbers(w["nodes"]))
     elif kind == "monotone":
         gap, _ = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))

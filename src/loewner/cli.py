@@ -26,7 +26,7 @@ import numpy as np
 from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
-from .interval import json_flag, json_number, json_numbers
+from .interval import json_flag, json_number, json_numbers, json_object
 
 __all__ = ["main"]
 
@@ -133,7 +133,7 @@ def _parse_dims(text: str) -> tuple:
 
 
 def _config_from(spec: dict, args) -> _classify.CertifyConfig:
-    cfg = _value(spec, "config", dict) or {}
+    cfg = _value(spec, "config", json_object) or {}
     # counts go to CertifyConfig as they are, so that 2.5 or true is rejected, not cut
     kwargs = {"seed": cfg.get("seed"), "trials": cfg.get("trials"),
               "dims": _value(cfg, "dims", tuple), "tol": _value(cfg, "tol", json_number)}
@@ -228,7 +228,7 @@ def _cmd_measure(args) -> int:
         raise _CliFailure(EVAL_ERROR, f"measure kind must be om/oc/soc, got {kind!r}")
     rep = _value(spec, "measure", lambda m: measures.rep_from_json(m, kind), True)
 
-    transform = _value(spec, "transform", dict)
+    transform = _value(spec, "transform", json_object)
     out = {"kind_in": kind, "input": measures.rep_to_json(rep)}
     out_rep = rep
     if transform:

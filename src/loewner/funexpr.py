@@ -31,7 +31,7 @@ from .errors import (
     OutsideClosure,
     UnsupportedNode,
 )
-from .interval import REAL_LINE, Interval, json_flag, json_number, json_numbers
+from .interval import REAL_LINE, Interval, json_flag, json_number, json_numbers, json_object
 from .measures import form_sum, rep_from_json, rep_to_json
 from .scanning import closure_value, scan_grid
 
@@ -565,9 +565,7 @@ _KINDS = {cls.kind: cls for cls in (Constant, Affine, Power, Reciprocal, Catalog
 
 
 def _json_params(v) -> dict:
-    if not isinstance(v, dict):
-        raise TypeError(f"catalog params {v!r} is not a JSON object")
-    return {k: json_number(p) for k, p in v.items()}
+    return {k: json_number(p) for k, p in json_object(v).items()}
 
 
 # a field's annotation (a string: annotations are postponed) -> decoder of its

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import EmptyDomain
 
-__all__ = ["Interval", "REAL_LINE", "json_number", "json_numbers", "json_flag"]
+__all__ = ["Interval", "REAL_LINE", "json_number", "json_numbers", "json_flag", "json_object"]
 
 
 @dataclass(frozen=True)
@@ -155,7 +155,8 @@ class Interval:
 REAL_LINE = Interval(-math.inf, math.inf)
 
 
-# JSON readers: every spec parser in the package reads its numbers and flags here
+# JSON readers: every spec parser in the package reads its numbers, flags and
+# objects here
 def json_number(v) -> float:
     """A JSON number (an int or a float, not a bool or a string) as a float."""
     if isinstance(v, bool) or not isinstance(v, (int, float)):
@@ -174,4 +175,11 @@ def json_flag(v) -> bool:
     """A JSON boolean."""
     if not isinstance(v, bool):
         raise TypeError(f"{v!r} is not true or false")
+    return v
+
+
+def json_object(v) -> dict:
+    """A JSON object."""
+    if not isinstance(v, dict):
+        raise TypeError(f"{v!r} is not a JSON object")
     return v

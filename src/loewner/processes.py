@@ -28,10 +28,7 @@ from .ratpoly import as_rational
 from .scanning import is_zero_on_grid
 from .transforms import choose_shift, diff_quotient, mul_linear, neg_reciprocal
 
-__all__ = [
-    "PipelineStage", "PipelineRun",
-    "main_cycle", "star_process", "backward_process", "rational_degree_of",
-]
+__all__ = ["PipelineStage", "PipelineRun", "main_cycle", "star_process", "backward_process"]
 
 
 @dataclass(frozen=True)
@@ -119,12 +116,6 @@ def _rational_or_none(fn: FunctionExpr):
 def _is_zero_stage(fn: FunctionExpr) -> bool:
     rat = _rational_or_none(fn)
     return is_zero_on_grid(fn.eval_real, fn.domain) if rat is None else rat.is_zero
-
-
-def rational_degree_of(fn: FunctionExpr):
-    """Degree of the exact rational form, or None when not rational."""
-    rat = _rational_or_none(fn)
-    return None if rat is None else rat.degree
 
 
 def _inputs(points, name: str, count, default) -> tuple:

@@ -47,10 +47,6 @@ def test_traced_functions_exist(module, name):
     assert inspect.isfunction(getattr(module, name))
 
 
-def test_pipeline_helpers_importable():
-    assert callable(processes.rational_degree_of)
-
-
 def test_old_leaf_names_build_the_measure_form():
     for name in ("MeasureOM", "MeasureOC", "MeasureSOC"):
         assert getattr(funexpr, name) is funexpr.MeasureForm

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE
+from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE, random_om_rep
 
 from loewner import (
     Affine,
@@ -14,6 +14,7 @@ from loewner import (
     Constant,
     DiffQuot,
     Interval,
+    MeasureForm,
     MulLinear,
     Power,
     Quotient,
@@ -222,16 +223,39 @@ def test_square_fails_loewner_with_node_witness():
 def test_sqrt_passes_halfplane():
     cert = check_halfplane(SQRT, QUICK)
     assert cert.verdict == "pass"
-    assert cert.trials == 2500  # 50 x 50 grid
+    assert cert.trials == 64  # node sets, as in check_loewner
 
 
-def test_square_halfplane_witness_is_the_grid_corner():
-    # Im z^2 = 2xy is lowest at the corner x = -10 (window (-10, 10)), y = 10
+def test_square_halfplane_witness_is_a_replayable_pick_matrix():
     cert = check_halfplane(SQUARE, QUICK)
     assert cert.verdict == "fail"
-    assert cert.witness["z"] == [-10.0, 10.0]
-    assert cert.witness["min_eig"] == pytest.approx(-200.0, abs=1e-10)
-    assert abs(replay_witness(SQUARE, cert) - (-200.0)) < REPLAY_TOL
+    w = cert.witness
+    assert w["check"] == "pick"
+    assert all(len(z) == 2 and z[1] > 0 for z in w["nodes"])
+    back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert replay_witness(SQUARE, back) == w["min_eig"] < 0
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9, 2.0])
+def test_powers_above_one_fail_halfplane_on_the_half_line(alpha):
+    # Im z^alpha < 0 for arg z > pi / alpha, left of the domain
+    fn = Power(alpha, Interval(0.0, math.inf, lo_closed=True))
+    cert = check_halfplane(fn, QUICK)
+    assert cert.verdict == "fail"
+    back = Certificate.from_json(json.loads(json.dumps(cert.to_json())))
+    assert replay_witness(fn, back) == cert.witness["min_eig"]
+
+
+def test_a_tiny_decreasing_function_fails_halfplane():
+    # every Pick matrix of a x has each entry equal to a
+    assert check_halfplane(Affine(-1e-12, 0.0), QUICK).verdict == "fail"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_monotone_measure_forms_pass_halfplane(seed):
+    # Pick functions with poles on both sides of the domain, near and far
+    fn = MeasureForm(random_om_rep(np.random.default_rng(seed)))
+    assert check_halfplane(fn, QUICK).verdict == "pass"
 
 
 # --- non-finite values ------------------------------------------------------------------
@@ -284,7 +308,7 @@ SCALED = {"sqrt": SQRT, "x^0.3": Power(0.3), "square": SQUARE, "x^1.5": Power(1.
 @pytest.mark.parametrize("name", SCALED)
 def test_verdicts_do_not_change_when_f_is_scaled(name):
     fn = SCALED[name]
-    for check in (check_monotone, check_convex, check_strong, check_loewner):
+    for check in (check_monotone, check_convex, check_strong, check_loewner, check_halfplane):
         verdicts = {c: check(Compose(Affine(c, 0.0), fn), QUICK).verdict
                     for c in (1e-12, 1e12)}
         assert verdicts == dict.fromkeys(verdicts, check(fn, QUICK).verdict), check.__name__
@@ -330,10 +354,12 @@ def test_classify_all_flags_a_broken_implication(monkeypatch, verdicts, flag):
     assert classify_all(SQRT, QUICK).flags == (flag,)
 
 
-def test_classify_all_flags_a_halfplane_pass_of_the_square():
-    # the grid above [0, 20] sees Im z^2 > 0 only, though x^2 is not monotone
+def test_classify_all_fails_the_square_on_the_half_line_without_flags():
+    # x^2 is not a Pick function
     result = classify_all(Power(2.0, Interval(0.0, math.inf, lo_closed=True)), QUICK)
-    assert result.flags == ("halfplane-pass-but-monotone-fail", "halfplane-pass-but-loewner-fail")
+    verdicts = {k: c.verdict for k, c in result.certificates.items()}
+    assert (verdicts["monotone"], verdicts["loewner"], verdicts["halfplane"]) == ("fail",) * 3
+    assert result.flags == ()
 
 
 # --- certificates ------------------------------------------------------------------------

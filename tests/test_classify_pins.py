@@ -8,9 +8,11 @@ shared inequality functions replaced, so a changed random stream, trial
 order, witness field, tolerance test or replayed matrix shows up here as a
 changed digest or bit.  Since the strong check's second route became the
 (x - x0) f Loewner check, the digests of recip, id_pos, dq_sqrt_1 and the
-default-config pins hold a new strong ``detail`` (and bent_pole the two
-halfplane flags); every verdict, trial count, witness and replayed bit is
-the one recorded before.  They hold for numpy 2.4 with its bundled OpenBLAS on
+default-config pins hold a new strong ``detail``.  Since the halfplane check
+became a search of Pick matrices, every digest holds its 64-set certificate
+(a pick witness where it fails), and bent_pole fails it; every other
+verdict, trial count, witness and replayed bit is the one recorded before.
+They hold for numpy 2.4 with its bundled OpenBLAS on
 x86-64; another LAPACK build may round eigenvalues differently.
 """
 
@@ -57,43 +59,43 @@ FUNCTIONS = {
 # name -> (digest of the classify_all JSON, replayed min_eig per failed check)
 PINNED = {
     "sqrt": (
-        "c07b6e0530e9bcc342cbba79aead6e2026cf75d0ac0e0733d15aa31cdcaa0cdd",
+        "4a434546a72162ae36c4704b982d62963d708fa9b73103af2a28ef5fef7a9d9d",
         {"convex": "-0x1.25e2c54c3a870p-1",
          "strong": "-0x1.ee26b3320aba0p-5"}),
     "recip": (
-        "2cfabc7eec96f4d2d9232e88a5dabdfeb25431d114300fd7827fb6a3e19e6d66",
-        {"halfplane": "-0x1.3e9788dac5f41p+2",
+        "ec0bc8314f72ab278d4f111be3ad91110a05b6eeca3f904f5bbbe37d2495e1a4",
+        {"halfplane": "-0x1.0b89d13bddb1ap-3",
          "loewner": "-0x1.3482d1c355a4ap-3",
          "monotone": "-0x1.ada8f0d6388a4p-3"}),
     "square": (
-        "26421c0d8785b514828c9f511e1a1993fb388e8b1e99475be5e628b8fb138c93",
-        {"halfplane": "-0x1.9000000000000p+7",
+        "acb9dc1cba4e7641620ccadde9cdf31441e97a2e16cbd6d2a3bb826950c541d4",
+        {"halfplane": "-0x1.1311c533a954ap+3",
          "loewner": "-0x1.28172d30e7a6dp+3",
          "monotone": "-0x1.60f47f65c320ep+4",
          "strong": "-0x1.75459ad8b6ff8p+1"}),
     "cube": (
-        "724cd6abde032a1387bf59b77b7d77c473ead6685e06438e9a6713f6444216e7",
+        "6b129ef465c53d42da1c7b9bec7e746829ee354227ab0627338ef088c610fcd8",
         {"convex": "-0x1.7cb400e9f9d57p+8",
-         "halfplane": "-0x1.f360110f3f3a3p+9",
+         "halfplane": "-0x1.033aae8549cf4p+2",
          "loewner": "-0x1.4fb8194d1a02bp+4",
          "monotone": "-0x1.6edfd3fa16a71p+4",
          "strong": "-0x1.6863e7eb650a9p+5"}),
     "id_pos": (
-        "61bd2e9c91ea5af709328a8c404c8aff65e5e327c36004966daca597c969980e",
+        "0611b5c8ca9f43aeb184473fb326406a73e04b493a8707bf14849604289c896e",
         {"strong": "-0x1.a73965531b458p-5"}),
     "dq_sqrt_1": (
-        "87328d01d9196ebb5856556da4a912c7266087b6f7b85eb45284959b67c2a596",
-        {"halfplane": "-0x1.a8160b86cf7b8p-3",
+        "13709e7f14767efd4a6a390e6c7d6ad36d9272f80387ee06f2d5a71a0d2dd0c2",
+        {"halfplane": "-0x1.955325b746128p-6",
          "loewner": "-0x1.a403af2778266p-6",
          "monotone": "-0x1.f5fa947efee19p-5"}),
     "measure_om": (
-        "7014ba5d9069089d997a48c57c51bd96fb4974f8297effe48eda4764d350e659",
+        "4884ea5d324d1756c56c17c033f936548f7f8b0f4e58494fa68fd788143203fa",
         {"convex": "-0x1.cc9a619d8c2eap+2",
          "strong": "-0x1.a7da1b8ac85edp-2"}),
     "pow_3_5": (
-        "0af2747e25ad8bf073205240300dfef617012a57d4f00513e0fef0a087baf76a",
+        "c26872e48277b2e38ef2811db23e329da17a61cf801db99d1f3e08973f36f131",
         {"convex": "-0x1.923f1fc85b8a6p+0",
-         "halfplane": "-0x1.c01b088e6c8b8p+11",
+         "halfplane": "-0x1.f081c691c1d08p+1",
          "loewner": "-0x1.bd0d50b9eb3e0p+3",
          "monotone": "-0x1.eefe45e361c4cp+2",
          "strong": "-0x1.ed496b3e3c5d0p+1"}),
@@ -136,8 +138,8 @@ def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, m
 # Inputs shaped like perfbench's classify-pass requests (operator monotone,
 # strongly operator convex pole forms left of their poles), and a pole form
 # bent by -1e-5 (x^3 (2 - x)) whose convexity check first fails at trial 104
-# (a compression probe inside the chunk of trials 96..127); its halfplane grid
-# passes, so it carries the flags halfplane-pass-but-{monotone,loewner}-fail.
+# (a compression probe inside the chunk of trials 96..127); it is not a Pick
+# function, and its Pick matrices fail at trial 1.
 DEFAULT_FUNCTIONS = {
     "soc_pass": MeasureSOC(SOCRep(a=0.25, mu_plus=DiscreteMeasure(((2.5, 0.5), (4.0, 1.25))),
                                   mu_minus=DiscreteMeasure(()),
@@ -149,13 +151,14 @@ DEFAULT_FUNCTIONS = {
 
 # A pass certificate holds no per-trial data, so every all-pass document has
 # the same digest: the two pass pins assert verdicts and trial counts.
-ALL_PASS = "435f297bbcce7895b4769c2b68b8458a8acdfb31153f45fa47f2c9aa1c37b60d"
+ALL_PASS = "5c734a223cda8a24cbe828940cc572fe2ec8d96c3577c0e41ea74d0e091e1d18"
 DEFAULT_PINNED = {
     "soc_pass": (ALL_PASS, {}),
     "quotient_pass": (ALL_PASS, {}),
     "bent_pole": (
-        "d56f597f458aed7619562ae536cc4fadbc2b9a8f7ec46e00659358808bf72c14",
+        "3060503332f94584c85fd9475774e05505ee1622ea837bf0bf194ed6f8555eb8",
         {"convex": "-0x1.6bb0f85907ac3p-30",
+         "halfplane": "-0x1.60e76e5f08447p-15",
          "loewner": "-0x1.fd9781bfa1925p-24",
          "monotone": "-0x1.9ea01f4727cadp-29",
          "strong": "-0x1.e16f6c6c00000p-25"}),
@@ -199,10 +202,11 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
 
 # Eigendecompositions (eigh and eigvalsh calls) of one default-config
 # classify_all on a passing input, in chunks of up to 64 trials, with strong
-# convexity's second route the (x - x0) f Loewner check (1,185 when it was
-# convexity of -1/f on the draws of f's convexity search, 2,003 when that
-# ran its own search in chunks of 32).
-CLASSIFY_MAX_EIGENSOLVES = 1017
+# convexity's second route the (x - x0) f Loewner check and the halfplane
+# check a search of 64 Pick matrices (1,017 when that was a grid with no
+# eigensolve; 1,185 when the second route was convexity of -1/f on the draws
+# of f's convexity search, 2,003 when that ran its own search in chunks of 32).
+CLASSIFY_MAX_EIGENSOLVES = 1046
 
 
 def test_classify_all_eigensolves_stay_within_budget(monkeypatch):

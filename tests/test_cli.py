@@ -129,9 +129,12 @@ def test_dims_flag_below_two_is_parse_error(tmp_path, capsys):
     {"dims": [2.5]},
     {"seed": True},
     {"tol": True},
+    [["trials", 5]],
+    "",
+    [],
 ], ids=["dims-empty", "dims-1", "dims-2-1", "dims-scalar", "trials", "trials-negative",
         "tol", "tol-negative", "seed", "seed-negative", "trials-float", "dims-float",
-        "seed-bool", "tol-bool"])
+        "seed-bool", "tol-bool", "config-pairs", "config-empty-string", "config-empty-list"])
 def test_malformed_spec_config_is_eval_error(tmp_path, capsys, config):
     spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": config})
     assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
@@ -407,12 +410,15 @@ def om_rep_huge_atom():
     ("om", om_rep, {"op": "om_to_soc", "x0": True}),
     ("soc", soc_rep, {"op": "extend", "b": "1"}),
     ("om", om_rep, {"op": "recover", "r": True, "window": [0.5, 1.5]}),
+    ("om", om_rep, ""),
+    ("om", om_rep, []),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
         "square-x0-off-zero", "recover-window-short", "recover-eps-equal",
         "recover-eps-zero", "recover-non-finite", "recover-window-string",
-        "recover-eps-string", "om_to_soc-x0-bool", "extend-b-string", "recover-r-bool"])
+        "recover-eps-string", "om_to_soc-x0-bool", "extend-b-string", "recover-r-bool",
+        "transform-empty-string", "transform-empty-list"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),
@@ -464,6 +470,20 @@ def test_report_replays_witnesses(tmp_path):
             assert entry["replay"]["match"] is True
 
 
+def test_report_replays_a_pick_witness_of_the_square_on_the_half_line(tmp_path):
+    fn = Power(2.0, Interval(0.0, float("inf"), lo_closed=True))
+    spec = write_spec(tmp_path, {"function": to_json(fn), "config": FAST})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "c")]) == 0
+    result = read_json(tmp_path / "c", "certificates.json")["result"]
+    assert result["certificates"]["halfplane"]["witness"]["check"] == "pick"
+    rspec = write_spec(tmp_path, {"function": to_json(fn), "result": result},
+                       name="report_spec.json")
+    assert main(["report", "--spec", rspec, "--out", str(tmp_path / "r"), "--replay"]) == 0
+    half = read_json(tmp_path / "r", "report.json")["verdicts"]["halfplane"]
+    assert half["verdict"] == "fail"
+    assert half["replay"]["match"] is True
+
+
 @pytest.mark.parametrize("command", ["measure", "report"])
 @pytest.mark.parametrize("flag", [("--seed", "1"), ("--trials", "5"), ("--dims", "2..3")],
                          ids=lambda f: f[0])
@@ -492,14 +512,20 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
     {"monotone": {k: v for k, v in MONO.items() if k != "trials"}},
     {"monotone": {**MONO, "witness": {"check": "bogus", "min_eig": -1.0}}},
     {"halfplane": {**MONO, "property": "halfplane",
-                   "witness": {"check": "halfplane", "z": [-1.0, 1.0]}}},
+                   "witness": {"check": "pick", "nodes": [[-1.0, 1.0]]}}},
     [MONO],
     {"monotone": {**MONO, "witness": {"check": "loewner", "nodes": [0.5, 2.0],
                                       "min_eig": "-1"}}},
     {"monotone": {**MONO, "witness": {"check": "loewner", "nodes": ["0.5", "2"],
                                       "min_eig": -1.0}}},
     {"halfplane": {**MONO, "property": "halfplane",
-                   "witness": {"check": "halfplane", "z": [True, True], "min_eig": -1.0}}},
+                   "witness": {"check": "pick", "nodes": [[True, True]], "min_eig": -1.0}}},
+    {"halfplane": {**MONO, "property": "halfplane",
+                   "witness": {"check": "pick", "nodes": [[-1.0, 0.0]], "min_eig": -1.0}}},
+    {"halfplane": {**MONO, "property": "halfplane",
+                   "witness": {"check": "pick", "nodes": [[-1.0, 1.0, 0.0]], "min_eig": -1.0}}},
+    {"halfplane": {**MONO, "property": "halfplane",
+                   "witness": {"check": "halfplane", "z": [-1.0, 1.0], "min_eig": -2.0}}},
     {"convex": {**MONO, "property": "operator_convex",
                 "witness": {"check": "jensen", "t": True, "h1": EYE2, "h2": EYE2,
                             "min_eig": -1.0}}},
@@ -510,7 +536,8 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
     {"monotone": {**MONO, "seed": "0"}},
     {"monotone": {**MONO, "tolerance": True}},
 ], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list", "min-eig-string",
-        "nodes-strings", "z-bools", "t-bool", "matrix-entry-bool", "trials-string",
+        "nodes-strings", "z-bools", "pick-node-on-the-axis", "pick-node-of-three",
+        "old-halfplane-witness", "t-bool", "matrix-entry-bool", "trials-string",
         "seed-string", "tolerance-bool"])
 def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, certificates):
     spec = write_spec(tmp_path, {"function": to_json(SQUARE),

@@ -19,7 +19,6 @@ from loewner import (
     star_process,
 )
 from loewner.errors import StageCertificationFailed
-from loewner.processes import rational_degree_of
 
 from catalog import SQRT, SQUARE, interior_grid
 
@@ -104,7 +103,7 @@ def test_negative_stage_counts_are_rejected(process, counts):
 
 def test_main_cycle_mobius_terminates_rational():
     f0 = Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, math.inf))
-    assert rational_degree_of(f0) == 1
+    assert as_rational(f0).degree == 1
     run = main_cycle(f0, (1.0, 0.0), cycles=5)
     assert run.status == "terminated_rational"
     assert [s.index for s in run.stages] == [0, 1, 2, 3]

@@ -26,7 +26,6 @@ from loewner import (
     identity,
 )
 from loewner.errors import NotRational
-from loewner.processes import rational_degree_of
 
 coeffs = st.lists(st.integers(-9, 9), min_size=1, max_size=4)
 
@@ -132,9 +131,10 @@ def test_as_rational_rejects_transcendental_nodes():
 
 
 def test_rational_degree_of_expressions():
-    assert rational_degree_of(Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, 9.0))) == 1
-    assert rational_degree_of(Constant(4.0)) == 0
-    assert rational_degree_of(Power(0.5)) is None
+    assert as_rational(Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, 9.0))).degree == 1
+    assert as_rational(Constant(4.0)).degree == 0
+    with pytest.raises(NotRational):
+        as_rational(Power(0.5))
 
 
 def _random_rep(rng, kind):
