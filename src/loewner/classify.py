@@ -62,7 +62,8 @@ T_DRAWS = 8                      # random Jensen weights per convexity trial
 CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
-CHUNK = 64                       # most trials drawn and evaluated together
+CHUNK = 128                      # most trials drawn and evaluated together
+VERDICTS = ("pass", "fail", "inconclusive")
 # (a, b): a pass of check a implies a pass of check b; by Loewner's theorem,
 # monotone, loewner and halfplane imply one another
 IMPLICATIONS = (("strong", "convex"), ("monotone", "loewner"), ("monotone", "halfplane"),
@@ -89,7 +90,7 @@ class CertifyConfig:
 @dataclass(frozen=True)
 class Certificate:
     property: str
-    verdict: str            # "pass" | "fail" | "inconclusive"
+    verdict: str            # one of VERDICTS
     trials: int
     tolerance: float
     seed: int
@@ -110,6 +111,8 @@ class Certificate:
     def from_json(d: dict) -> "Certificate":
         # trials, tolerance and seed are read as the run config they came from
         run = CertifyConfig(trials=d["trials"], tol=json_number(d["tolerance"]), seed=d["seed"])
+        if not isinstance(d["property"], str) or d["verdict"] not in VERDICTS:
+            raise TypeError(f"bad property {d['property']!r} or verdict {d['verdict']!r}")
         return Certificate(d["property"], d["verdict"], run.trials, run.tol, run.seed,
                            d.get("witness"), d.get("detail", ""))
 
@@ -147,8 +150,8 @@ def _fail(prop: str, config: CertifyConfig, trial, _, fields, i, mn) -> Certific
 
 def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
             probe) -> Certificate:
-    """Trials 0..count-1 in chunks [0], [1], [2, 3], [4..7], ... of at most
-    CHUNK; trial k has size sizes[k % len(sizes)], stream default_rng([seed, k]).
+    """Trials 0..count-1 in chunks [0], [1], then CHUNK at a time; trial k has
+    size sizes[k % len(sizes)], stream default_rng([seed, k]).
 
     ``probe(rngs, size)`` draws from each stream what one trial draws, in its
     order, and yields parts (owner, gap, scale, fields): a stack of matrices
@@ -159,20 +162,12 @@ def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
     error propagates.
     """
     scan = partial(_scan, prop, config, sizes, probe)
-
-    def attempt(trials):
+    for start in (*range(min(count, 2)), *range(2, count, CHUNK)):
+        chunk = range(start, min(count, start + (CHUNK if start > 1 else 1)))
         try:
-            return scan(trials)
+            found = scan(chunk)
         except LoewnerError:
-            if len(trials) == 1:
-                raise
-            return next(filter(None, (attempt([t]) for t in trials)), None)
-
-    stop = 0
-    while stop < count:
-        chunk = range(stop, min(count, max(2 * stop, 1), stop + CHUNK))
-        stop = chunk.stop
-        found = attempt(chunk)
+            found = next(filter(None, (scan([t]) for t in chunk)), None)
         if found:
             return found
     return Certificate(prop, "pass", count, config.tol, config.seed)

@@ -294,7 +294,10 @@ def _cmd_report(args) -> int:
     if not isinstance(result, dict) or not isinstance(result.get("certificates"), dict):
         raise _CliFailure(EVAL_ERROR, "spec carries no 'result.certificates' "
                                       "(point --spec at a classify output)")
-    report = {"verdicts": {}, "flags": result.get("flags", [])}
+    flags = result.get("flags", [])
+    if not isinstance(flags, list) or not all(isinstance(f, str) for f in flags):
+        raise _CliFailure(EVAL_ERROR, f"'result.flags' is not a list of strings: {flags!r}")
+    report = {"verdicts": {}, "flags": flags}
     for name, cert_json in sorted(result["certificates"].items()):
         try:
             report["verdicts"][name] = _report_entry(fn, cert_json, args.replay)

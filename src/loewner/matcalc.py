@@ -140,12 +140,16 @@ def _each(rng, draw):
     return np.array([draw(g) for g in rng])
 
 
-def haar_unitary(rng, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase fix."""
-    a = _each(rng, lambda g: g.standard_normal((n, n)) + 1j * g.standard_normal((n, n)))
-    q, r = np.linalg.qr(a)
+def _unitary(z: np.ndarray) -> np.ndarray:
+    """The Haar unitary of normal planes z, (..., 2, n, n): QR of z[0] + i z[1], phase fixed."""
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[..., None, :]
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """Haar-distributed unitary via QR with the standard phase fix."""
+    return _unitary(_each(rng, lambda g: g.standard_normal((2, n, n))))
 
 
 def _spectrum_window(domain: Interval, clip_len: float) -> tuple:
@@ -164,9 +168,10 @@ def rand_hermitian(rng, n: int, domain: Interval, clip_len: float = 20.0) -> np.
     """Random Hermitian matrix with spectrum drawn uniformly from a bounded
     window of the domain (open endpoints shrunk by 1e-6 relative)."""
     lo, hi = _spectrum_window(domain, clip_len)
-    eigs = _each(rng, lambda g: g.uniform(lo, hi, size=n))
-    u = haar_unitary(rng, n)
-    return sym((u * eigs[..., None, :]) @ _adj(u))
+    # per stream in one pass: the n eigenvalues, then the normals of haar_unitary
+    d = _each(rng, lambda g: np.concatenate([g.uniform(lo, hi, n), g.standard_normal(2 * n * n)]))
+    u = _unitary(d[..., n:].reshape(d.shape[:-1] + (2, n, n)))
+    return sym((u * d[..., None, :n]) @ _adj(u))
 
 
 def rand_ordered_pair(rng, n: int, domain: Interval, clip_len: float = 20.0) -> tuple:

@@ -388,7 +388,7 @@ def test_replay_rejects_unknown_check():
 
 # --- the chunked search reports what a one-trial-at-a-time loop reports ---------------
 
-def test_chunks_double_up_to_the_cap():
+def test_chunks_are_two_single_trials_then_the_cap():
     sizes = []
 
     def probe(rngs, size):
@@ -396,7 +396,7 @@ def test_chunks_double_up_to_the_cap():
         yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), 1.0, None
 
     assert _search("synthetic", CertifyConfig(), 300, (2,), probe).verdict == "pass"
-    assert sizes == [1, 1, 2, 4, 8, 16, 32, 64, 64, 64, 44]
+    assert sizes == [1, 1, 128, 128, 42]
 
 
 def _synthetic_probe(outcomes):
@@ -417,7 +417,7 @@ def _synthetic_probe(outcomes):
     return probe
 
 
-# Trials 5 and 6 share the chunk 4..7: with sizes (2,) they share the stacks
+# Trials 5 and 6 share the chunk 2..7: with sizes (2,) they share the stacks
 # too, with sizes (2, 3) they are in different stacks of the chunk.
 
 @pytest.mark.parametrize("sizes", [(2,), (2, 3)])

@@ -16,6 +16,7 @@ They hold for numpy 2.4 with its bundled OpenBLAS on
 x86-64; another LAPACK build may round eigenvalues differently.
 """
 
+import gc
 import hashlib
 import json
 
@@ -42,6 +43,8 @@ from loewner import (
     classify_all,
     replay_witness,
 )
+from loewner import classify
+from loewner.errors import DomainError
 
 QUICK = CertifyConfig(trials=60, dims=(2, 3, 4), seed=0)
 
@@ -117,6 +120,37 @@ def test_classify_all_and_replay_are_bitwise_pinned(name):
     assert got == replays
 
 
+# --- the chunk schedule moves no result: the lowest failing trial decides, and
+# a chunk that raises runs again one trial at a time.  With CHUNK = 1 every
+# trial is a chunk of its own, as in the search loop the pins were recorded from.
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONS))
+def test_certificates_do_not_depend_on_the_chunk_schedule(name, monkeypatch):
+    fn = FUNCTIONS[name]
+    chunked = classify_all(fn, QUICK)
+    monkeypatch.setattr(classify, "CHUNK", 1)
+    assert classify_all(fn, QUICK) == chunked
+
+
+def test_a_later_trial_raises_the_same_error_on_any_chunk_schedule(monkeypatch):
+    # sqrt raises above 19: first at monotone trial 9, inside the chunk of trials 2..59
+    val = Power._val
+
+    def raising(self, xs):
+        if np.max(xs) > 19.0:
+            raise DomainError(f"synthetic at {float(np.max(xs))!r}")
+        return val(self, xs)
+
+    monkeypatch.setattr(Power, "_val", raising)
+    errors = []
+    for chunk in (classify.CHUNK, 1):
+        monkeypatch.setattr(classify, "CHUNK", chunk)
+        with pytest.raises(DomainError) as err:
+            classify_all(SQRT, QUICK)
+        errors.append(str(err.value))
+    assert errors == ["synthetic at 19.701334726290177"] * 2
+
+
 # --- the default config: 300 trials, so every chunk boundary of the search is
 # crossed.  Recorded from the one-trial-at-a-time search loop.
 
@@ -124,9 +158,9 @@ UNIT = Interval(0.0, 1.0, lo_closed=True, hi_closed=True)
 
 
 @pytest.mark.parametrize("c, trial, dim, min_eig", [
-    # inside the chunk of trials 32..63; at trial 73 under the floor -1e-9 (1 + ||gap||)
+    # inside the chunk of trials 2..129; at trial 73 under the floor -1e-9 (1 + ||gap||)
     (-2.6e-4, 57, 3, "-0x1.20e56ce48eef8p-30"),
-    (-3e-4, 4, 6, "-0x1.51113d0ce84aap-30"),      # first trial of the chunk 4..7
+    (-3e-4, 4, 6, "-0x1.51113d0ce84aap-30"),      # first trial of the old chunk 4..7
 ])
 def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, min_eig):
     cert = check_monotone(Quotient((0.0, 1.0, c), (1.0,), UNIT))
@@ -138,7 +172,7 @@ def test_slightly_decreasing_quotient_fails_at_its_pinned_trial(c, trial, dim, m
 # Inputs shaped like perfbench's classify-pass requests (operator monotone,
 # strongly operator convex pole forms left of their poles), and a pole form
 # bent by -1e-5 (x^3 (2 - x)) whose convexity check first fails at trial 104
-# (a compression probe inside the chunk of trials 96..127); it is not a Pick
+# (a compression probe inside the chunk of trials 2..129); it is not a Pick
 # function, and its Pick matrices fail at trial 1.
 DEFAULT_FUNCTIONS = {
     "soc_pass": MeasureSOC(SOCRep(a=0.25, mu_plus=DiscreteMeasure(((2.5, 0.5), (4.0, 1.25))),
@@ -201,12 +235,13 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
 
 
 # Eigendecompositions (eigh and eigvalsh calls) of one default-config
-# classify_all on a passing input, in chunks of up to 64 trials, with strong
-# convexity's second route the (x - x0) f Loewner check and the halfplane
-# check a search of 64 Pick matrices (1,017 when that was a grid with no
+# classify_all on a passing input, in chunks [0], [1], then up to 128 trials,
+# with strong convexity's second route the (x - x0) f Loewner check and the
+# halfplane check a search of 64 Pick matrices (1,046 in chunks that doubled
+# up to 64 trials; 1,017 when the halfplane check was a grid with no
 # eigensolve; 1,185 when the second route was convexity of -1/f on the draws
 # of f's convexity search, 2,003 when that ran its own search in chunks of 32).
-CLASSIFY_MAX_EIGENSOLVES = 1046
+CLASSIFY_MAX_EIGENSOLVES = 502
 
 
 def test_classify_all_eigensolves_stay_within_budget(monkeypatch):
@@ -217,3 +252,14 @@ def test_classify_all_eigensolves_stay_within_budget(monkeypatch):
                             lambda *a, solve=solve, **kw: calls.append(1) or solve(*a, **kw))
     assert classify_all(DEFAULT_FUNCTIONS["soc_pass"]).flags == ()
     assert len(calls) <= CLASSIFY_MAX_EIGENSOLVES
+
+
+def test_classify_all_leaves_no_reference_cycle():
+    fn = DEFAULT_FUNCTIONS["soc_pass"]
+    gc.collect()
+    gc.disable()
+    try:
+        classify_all(fn)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -508,7 +508,7 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
         "tolerance": 1e-9, "seed": 0}
 
 
-@pytest.mark.parametrize("certificates", [
+@pytest.mark.parametrize("result", [{"certificates": c} for c in (
     {"monotone": {k: v for k, v in MONO.items() if k != "trials"}},
     {"monotone": {**MONO, "witness": {"check": "bogus", "min_eig": -1.0}}},
     {"halfplane": {**MONO, "property": "halfplane",
@@ -535,13 +535,18 @@ MONO = {"property": "operator_monotone", "verdict": "fail", "trials": 1,
     {"monotone": {**MONO, "trials": "many"}},
     {"monotone": {**MONO, "seed": "0"}},
     {"monotone": {**MONO, "tolerance": True}},
+    {"monotone": {**MONO, "property": 5, "verdict": ["x"]}},
+    {"monotone": {**MONO, "verdict": "passed"}},
+)] + [
+    {"certificates": {"monotone": MONO}, "flags": "not a list"},
+    {"certificates": {"monotone": MONO}, "flags": ["convex-pass-but-monotone-fail", 1]},
 ], ids=["no-trials", "bogus-check", "no-min-eig", "certificates-list", "min-eig-string",
         "nodes-strings", "z-bools", "pick-node-on-the-axis", "pick-node-of-three",
         "old-halfplane-witness", "t-bool", "matrix-entry-bool", "trials-string",
-        "seed-string", "tolerance-bool"])
-def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, certificates):
-    spec = write_spec(tmp_path, {"function": to_json(SQUARE),
-                                 "result": {"certificates": certificates}})
+        "seed-string", "tolerance-bool", "property-number-verdict-list", "verdict-unknown",
+        "flags-string", "flags-number"])
+def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, result):
+    spec = write_spec(tmp_path, {"function": to_json(SQUARE), "result": result})
     out = tmp_path / "o"
     assert main(["report", "--spec", spec, "--out", str(out), "--replay"]) == 3
     assert capsys.readouterr().err.startswith("loewner: ")
