@@ -34,6 +34,7 @@ from .errors import DuplicateNodes, LoewnerError, NonFiniteValue
 from .funexpr import MulLinear
 from .interval import json_number, json_numbers
 from .matcalc import (
+    CLIP_LEN,
     apply_fn,
     apply_spectrum,
     compress,
@@ -59,7 +60,6 @@ __all__ = [
 ]
 
 T_DRAWS = 8                      # random Jensen weights per convexity trial
-CLIP_LEN = 20.0                  # length of the window sampled on long domains
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
 CHUNK = 128                      # most trials drawn and evaluated together
@@ -217,7 +217,7 @@ def _strong_gap(fn, fh, v, corner) -> tuple:
 def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
     def probe(rngs, n):
-        h1, h2 = rand_ordered_pair(rngs, n, fn.domain, CLIP_LEN)
+        h1, h2 = rand_ordered_pair(rngs, n, fn.domain)
         yield (np.arange(len(rngs)), *_monotone_gap(fn, h1, h2),
                lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
@@ -245,10 +245,10 @@ def _corner_parts(fn, check, gap, rngs, n, h, fh):
 def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
     def probe(rngs, n):
-        h1 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
-        h2 = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        h1 = rand_hermitian(rngs, n, fn.domain)
+        h2 = rand_hermitian(rngs, n, fn.domain)
         ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
-        h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        h = rand_hermitian(rngs, n, fn.domain)
         f1, f2, fh = apply_spectrum(fn, spectrum(np.stack([h1, h2, h]), fn.domain))
         mix = _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain)
         gap, scale = _jensen_gap(fn, f1[:, None], f2[:, None], ts[..., None, None], mix)
@@ -279,7 +279,7 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
                            detail="identically zero on the scan grid")
 
     def probe(rngs, n):
-        h = rand_hermitian(rngs, n, fn.domain, CLIP_LEN)
+        h = rand_hermitian(rngs, n, fn.domain)
         yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h, apply_fn(fn, h))
 
     direct = _search(prop, config, config.trials, config.dims, probe)
@@ -327,14 +327,7 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
     def probe(rngs, size):
-        def draw(g):
-            for _ in range(101):
-                nodes = g.uniform(lo, hi, size=size)
-                if len(np.unique(nodes)) == size:
-                    return nodes
-            return nodes
-
-        nodes = np.array([draw(g) for g in rngs])
+        nodes = np.array([g.uniform(lo, hi, size=size) for g in rngs])
         yield (np.arange(len(rngs)), *_loewner_gap(fn, nodes),
                lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
 

@@ -27,6 +27,7 @@ from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
 from .interval import json_flag, json_number, json_numbers, json_object
+from .matcalc import CLIP_LEN
 
 __all__ = ["main"]
 
@@ -83,7 +84,7 @@ def _write_csv(out_dir: str, name: str, header, rows):
 
 
 def _sample_grid(domain) -> np.ndarray:
-    win = domain.clip(20.0)
+    win = domain.clip(CLIP_LEN)
     width = win.hi - win.lo
     return np.linspace(win.lo + 0.01 * width, win.hi - 0.01 * width, GRID_POINTS)
 
@@ -233,6 +234,8 @@ def _cmd_measure(args) -> int:
     out_rep = rep
     if transform:
         op = transform.get("op")
+        if not isinstance(op, str):
+            raise _CliFailure(EVAL_ERROR, f"measure op must be a string, got {op!r}")
         takes = _OP_KINDS.get(op, kind)
         if takes != kind:
             raise _CliFailure(EVAL_ERROR, f"measure op {op!r} takes a {takes!r} "

@@ -339,12 +339,10 @@ class Quotient(FunctionExpr):
         return pv(zs, self.num) / pv(zs, self.den)
 
     def _dval(self, xs):
-        pv = np.polynomial.polynomial.polyval
+        pv, der = np.polynomial.polynomial.polyval, np.polynomial.polynomial.polyder
         n, d = self.num, self.den
-        dn = tuple(i * n[i] for i in range(1, len(n))) or (0.0,)
-        dd = tuple(i * d[i] for i in range(1, len(d))) or (0.0,)
         dv = pv(xs, d)
-        return (pv(xs, dn) * dv - pv(xs, n) * pv(xs, dd)) / dv**2
+        return (pv(xs, der(n)) * dv - pv(xs, n) * pv(xs, der(d))) / dv**2
 
 
 # --- measure-form leaf ------------------------------------------------------------

@@ -86,13 +86,6 @@ class Interval:
             return Interval(self.lo, self.hi, self.lo_closed, False)
         return self
 
-    def closure(self) -> "Interval":
-        return Interval(
-            self.lo, self.hi,
-            lo_closed=not math.isinf(self.lo),
-            hi_closed=not math.isinf(self.hi),
-        )
-
     @property
     def bounded(self) -> bool:
         return not (math.isinf(self.lo) or math.isinf(self.hi))

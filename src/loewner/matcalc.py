@@ -22,6 +22,7 @@ __all__ = [
 
 ENDPOINT_SNAP = 1e-12
 EDGE_SHRINK = 1e-6
+CLIP_LEN = 20.0  # length of the window sampled on long domains
 
 
 def _adj(m: np.ndarray) -> np.ndarray:
@@ -78,10 +79,10 @@ def apply_fn(fn, h: np.ndarray) -> np.ndarray:
 
 # --- projections and blocks -----------------------------------------------------
 
-def projection_basis(p: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def projection_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(p) for an orthogonal projection p."""
     p = sym(p)
-    if spectral_norm(p @ p - p) > tol * (1.0 + spectral_norm(p)):
+    if spectral_norm(p @ p - p) > 1e-8 * (1.0 + spectral_norm(p)):
         raise ValueError("matrix is not an orthogonal projection")
     w, v = np.linalg.eigh(p)
     cols = v[:, w > 0.5]
@@ -152,8 +153,8 @@ def haar_unitary(rng, n: int) -> np.ndarray:
     return _unitary(_each(rng, lambda g: g.standard_normal((2, n, n))))
 
 
-def _spectrum_window(domain: Interval, clip_len: float) -> tuple:
-    win = domain.clip(clip_len)
+def _spectrum_window(domain: Interval) -> tuple:
+    win = domain.clip(CLIP_LEN)
     lo, hi = win.lo, win.hi
     if not win.lo_closed:
         lo = lo + EDGE_SHRINK * (1.0 + abs(lo))
@@ -164,25 +165,25 @@ def _spectrum_window(domain: Interval, clip_len: float) -> tuple:
     return lo, hi
 
 
-def rand_hermitian(rng, n: int, domain: Interval, clip_len: float = 20.0) -> np.ndarray:
+def rand_hermitian(rng, n: int, domain: Interval) -> np.ndarray:
     """Random Hermitian matrix with spectrum drawn uniformly from a bounded
     window of the domain (open endpoints shrunk by 1e-6 relative)."""
-    lo, hi = _spectrum_window(domain, clip_len)
+    lo, hi = _spectrum_window(domain)
     # per stream in one pass: the n eigenvalues, then the normals of haar_unitary
     d = _each(rng, lambda g: np.concatenate([g.uniform(lo, hi, n), g.standard_normal(2 * n * n)]))
     u = _unitary(d[..., n:].reshape(d.shape[:-1] + (2, n, n)))
     return sym((u * d[..., None, :n]) @ _adj(u))
 
 
-def rand_ordered_pair(rng, n: int, domain: Interval, clip_len: float = 20.0) -> tuple:
+def rand_ordered_pair(rng, n: int, domain: Interval) -> tuple:
     """(h1, h2) with h1 <= h2 and both spectra inside the domain.
 
     h2 is drawn at random; h1 = h2 - w * vv* with the rank-one weight w
     capped at lambda_min(h2) minus the window floor, which keeps h1's
     spectrum inside by construction (no rejection loop needed).
     """
-    lo, hi = _spectrum_window(domain, clip_len)
-    h2 = rand_hermitian(rng, n, domain, clip_len)
+    lo, hi = _spectrum_window(domain)
+    h2 = rand_hermitian(rng, n, domain)
     lam_min = np.linalg.eigvalsh(h2).min(-1)
     head = np.maximum(lam_min - lo, 0.0)  # eigh roundoff can put lam_min a hair under lo
 

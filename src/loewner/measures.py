@@ -65,18 +65,11 @@ class DiscreteMeasure:
                 raise BadMeasureInput(f"atom weight at r={r} is negative")
         object.__setattr__(self, "atoms", atoms)
 
-    @property
-    def total(self) -> float:
-        return sum(w for _, w in self.atoms)
-
     def weight_at(self, r: float, tol: float = 0.0) -> float:
         for loc, w in self.atoms:
             if abs(loc - r) <= tol * (1.0 + abs(r)):
                 return w
         return 0.0
-
-    def scaled(self, factor_fn) -> "DiscreteMeasure":
-        return DiscreteMeasure(tuple((r, w * factor_fn(r)) for r, w in self.atoms))
 
 
 def _require_outside(measure: DiscreteMeasure, interval: Interval, side: str | None):

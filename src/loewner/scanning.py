@@ -97,9 +97,9 @@ def _finite_grid_values(fn, domain: Interval):
     return xs, vals
 
 
-def is_zero_on_grid(fn, domain: Interval, tol: float = ZERO_TOL) -> bool:
-    """Whether |fn| <= tol on the scan grid; NonFiniteValue on a NaN or inf."""
-    return bool(np.all(np.abs(_finite_grid_values(fn, domain)[1]) <= tol))
+def is_zero_on_grid(fn, domain: Interval) -> bool:
+    """Whether |fn| <= ZERO_TOL on the scan grid; NonFiniteValue on a NaN or inf."""
+    return bool(np.all(np.abs(_finite_grid_values(fn, domain)[1]) <= ZERO_TOL))
 
 
 def check_positive(fn, domain: Interval) -> None:

@@ -412,13 +412,15 @@ def om_rep_huge_atom():
     ("om", om_rep, {"op": "recover", "r": True, "window": [0.5, 1.5]}),
     ("om", om_rep, ""),
     ("om", om_rep, []),
+    ("om", om_rep, {"op": ["om_to_soc"], "x0": 0.5}),
+    ("om", om_rep, {"op": {}}),
 ], ids=["om_to_soc-on-soc", "extend-on-om", "square-on-om", "om_to_soc-no-x0",
         "om_to_soc-bad-x0", "extend-no-b", "recover-no-window", "recover-no-r",
         "transform-string", "recover-window-misses-r", "recover-side", "recover-eps",
         "square-x0-off-zero", "recover-window-short", "recover-eps-equal",
         "recover-eps-zero", "recover-non-finite", "recover-window-string",
         "recover-eps-string", "om_to_soc-x0-bool", "extend-b-string", "recover-r-bool",
-        "transform-empty-string", "transform-empty-list"])
+        "transform-empty-string", "transform-empty-list", "op-list", "op-object"])
 def test_malformed_measure_transform_is_eval_error(tmp_path, capsys, kind, rep,
                                                    transform):
     spec = write_spec(tmp_path, {"kind": kind, "measure": rep_to_json(rep()),

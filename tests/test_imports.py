@@ -1,13 +1,16 @@
-"""Every name a module under src/ imports is used in that module, and
-every import sits at module level.
+"""Every name a module under src/ imports is used in that module, every
+import sits at module level, and every private function, class or method is
+referred to somewhere in the package.
 
-There is no linter in the toolchain, and a deletion can leave an import
-behind that nothing reads any more; this stdlib ``ast`` pass shows it.  An
-import inside a function usually hides an import cycle between modules.
+There is no linter in the toolchain, and a deletion can leave an import or a
+private helper behind that nothing reads any more; this stdlib ``ast`` pass
+shows it.  An import inside a function usually hides an import cycle between
+modules.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -61,3 +64,57 @@ def test_the_pass_sees_a_function_level_import():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_imports_only_at_module_level(path):
     assert function_level_imports(path.read_text()) == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def private_definitions(tree) -> list:
+    """Module-level private functions and classes, and private methods."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    out = []
+    for node in tree.body:
+        if isinstance(node, (*functions, ast.ClassDef)) and _private(node.name):
+            out.append(node)
+        if isinstance(node, ast.ClassDef):
+            out += [m for m in node.body if isinstance(m, functions) and _private(m.name)]
+    return out
+
+
+def references(tree) -> Counter:
+    """How often each name is read as a name, an attribute or an import."""
+    out = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            out[node.attr] += 1
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+    return out
+
+
+def orphaned_private_code(sources: dict) -> list:
+    """(module, line, name) of each private definition that nothing outside
+    its own body refers to, over a {module: source} package."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    return sorted((name, d.lineno, d.name) for name, tree in trees.items()
+                  for d in private_definitions(tree)
+                  if used[d.name] == references(d)[d.name])
+
+
+def test_the_pass_sees_orphaned_private_code():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "class _Orphan:\n    pass\n"
+                        "class Public:\n"
+                        "    def _method(self):\n        return _used()\n"
+                        "    def __init__(self):\n        pass\n"),
+               "b.py": "from .a import Public\nPublic()._method()\n"}
+    assert orphaned_private_code(sources) == [("a.py", 3, "_recursive"), ("a.py", 5, "_Orphan")]
+
+
+def test_package_has_no_orphaned_private_code():
+    assert orphaned_private_code({p.name: p.read_text() for p in SOURCES}) == []

@@ -27,8 +27,6 @@ def test_closure_and_endpoint_queries():
     assert iv.closure_contains(0.0) and iv.closure_contains(1.0)
     assert not iv.closure_contains(-0.1)
     assert iv.is_endpoint(1.0) and not iv.is_endpoint(0.5)
-    cl = iv.closure()
-    assert cl.lo_closed and cl.hi_closed
 
 
 def test_empty_and_degenerate_rejected():

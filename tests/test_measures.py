@@ -45,19 +45,17 @@ IDENTITY_TOL = 1e-12
 def test_atoms_sorted_and_validated():
     m = DiscreteMeasure(((5.0, 1.0), (2.0, 3.0)))
     assert m.atoms == ((2.0, 3.0), (5.0, 1.0))
-    assert m.total == 4.0
     with pytest.raises(ValueError):
         DiscreteMeasure(((2.0, -1.0),))
     with pytest.raises(ValueError):
         DiscreteMeasure(((2.0, 1.0), (2.0, 1.0)))  # duplicate locations
 
 
-def test_weight_at_and_scaled():
+def test_weight_at():
     m = DiscreteMeasure(((2.0, 3.0),))
     assert m.weight_at(2.0) == 3.0
     assert m.weight_at(2.1) == 0.0
     assert m.weight_at(2.0 + 1e-12, tol=1e-9) == 3.0
-    assert m.scaled(lambda r: 2 * r).atoms == ((2.0, 12.0),)
 
 
 # --- representations ---------------------------------------------------------------

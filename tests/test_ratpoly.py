@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +49,6 @@ def test_degree_counts_max_of_num_and_den():
     assert RationalFunction((1, 2), (1, 1)).degree == 1
     assert RationalFunction((1,), (1, 0, 2)).degree == 2
     assert RationalFunction((7,)).degree == 0
-    assert RationalFunction((7,)).is_constant
 
 
 def test_call_is_exact():
@@ -98,6 +98,45 @@ def test_diffquot_identity_on_random_rationals(num, den, x):
     except ZeroDivisionError:
         return  # x sits on a pole of f
     assert g(x) == lhs  # exact rational equality
+
+
+def _horner(p, x):
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def test_transforms_are_exact_beyond_float_and_int64_range():
+    # numerators near 1e30 over up to 3^40: a float or int64 cast anywhere
+    # would change a value or leave a non-Fraction coefficient behind
+    rnd = random.Random(20)
+
+    def big():
+        top = rnd.randint(-10**30, 10**30)
+        return top if rnd.random() < 0.3 else Fraction(top, 3 ** rnd.randint(1, 40))
+
+    for _ in range(60):
+        num = [big() for _ in range(rnd.randint(1, 4))]
+        den = [big() for _ in range(rnd.randint(1, 4))]
+        x0, c = Fraction(big()), Fraction(big())
+        f = RationalFunction(tuple(num), tuple(den))
+
+        def ref(x, num=num, den=den):
+            return _horner(num, x) / _horner(den, x)
+
+        derived = [
+            (f, ref),
+            (f.diffquot(x0), lambda x: (ref(x) - ref(x0)) / (x - x0)),
+            (f.mullinear(x0, c), lambda x: ref(x) * (x - x0) + c),
+            (f.negrecip(), lambda x: -1 / ref(x)),
+        ]
+        points = [Fraction(rnd.randint(-10**12, 10**12), 7 ** rnd.randint(0, 15))
+                  for _ in range(3)]
+        for g, expected in derived:
+            assert all(type(v) is Fraction for v in g.num + g.den)
+            for x in points:
+                assert g(x) == expected(x)
 
 
 def test_as_rational_covers_arithmetic_nodes():
