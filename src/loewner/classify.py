@@ -266,12 +266,12 @@ def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
 def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Compression-domination trials, cross-checked by the paper's iff.
 
-    f identically zero on the scan grid passes outright, and a non-finite grid
-    value raises NonFiniteValue.  A fail of the direct inequality stands.  A
-    pass must agree with check_loewner of (x - x0) f(x), x0 the middle of the
-    sampled window, which is operator monotone iff f is strongly operator
-    convex; disagreement is reported as "inconclusive", with the Loewner
-    witness and its x0, rather than picking a side.
+    f exactly 0.0 at every scan point passes outright with 0 trials, and a
+    non-finite grid value raises NonFiniteValue.  A fail of the direct
+    inequality stands.  A pass must agree with check_loewner of (x - x0) f(x),
+    x0 the middle of the sampled window, which is operator monotone iff f is
+    strongly operator convex; disagreement is reported as "inconclusive", with
+    the Loewner witness and its x0, rather than picking a side.
     """
     prop = "strongly_operator_convex"
     if is_zero_on_grid(fn.eval_real, fn.domain):

@@ -305,8 +305,9 @@ def _trim(coeffs) -> tuple:
 @dataclass(frozen=True)
 class Quotient(FunctionExpr):
     """Ratio of polynomials, coefficients ascending.  The denominator is
-    scanned on a 1001-point grid at construction; an exact zero, a sign
-    change (a pole inside the domain) or the zero polynomial is rejected."""
+    scanned on a 1001-point grid at construction and must keep one strict sign:
+    a zero, a sign change (a pole inside the domain), a NaN or the zero
+    polynomial is rejected."""
 
     num: tuple
     den: tuple
@@ -321,11 +322,8 @@ class Quotient(FunctionExpr):
         object.__setattr__(self, "den", den)
         if len(den) > 1:
             dv = np.polynomial.polynomial.polyval(scan_grid(self.domain), den)
-            with np.errstate(over="ignore"):
-                flips = np.any(dv[:-1] * dv[1:] < 0.0)
-            if np.any(dv == 0.0) or flips:
-                raise DomainError(
-                    f"denominator vanishes inside {self.domain}")
+            if not (np.all(dv > 0.0) or np.all(dv < 0.0)):
+                raise DomainError(f"denominator vanishes inside {self.domain}")
 
     def _val(self, xs):
         pv = np.polynomial.polynomial.polyval

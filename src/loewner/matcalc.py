@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SingularBlock, SpectrumOutsideDomain
+from .errors import EmptyDomain, SingularBlock, SpectrumOutsideDomain
 from .interval import Interval
 
 __all__ = [
@@ -32,8 +32,8 @@ def _adj(m: np.ndarray) -> np.ndarray:
 
 def sym(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m*)/2 of a matrix or of each in a (..., n, n) stack."""
-    m = np.asarray(m, dtype=complex)
-    return 0.5 * (m + _adj(m))
+    half = 0.5 * np.asarray(m, dtype=complex)  # halve first: m + m* overflows near 1e308
+    return half + _adj(half)
 
 
 def spectral_norm(m: np.ndarray) -> float:
@@ -161,7 +161,7 @@ def _spectrum_window(domain: Interval) -> tuple:
     if not win.hi_closed:
         hi = hi - EDGE_SHRINK * (1.0 + abs(hi))
     if not lo < hi:
-        raise ValueError(f"domain {domain} too thin to sample a spectrum")
+        raise EmptyDomain(f"domain {domain} too thin to sample a spectrum")
     return lo, hi
 
 

@@ -2,10 +2,10 @@
 
 These are the desk-scale decidable proxies used wherever a contract quantifies
 over a whole interval (positivity for the negative-reciprocal transform,
-boundedness for backward-process shifts, zero detection for pipeline
-termination).  Unbounded intervals are clipped to a long window before
-scanning; open endpoints are approached geometrically so blow-ups and limits
-near the boundary are seen even on a coarse linear grid.
+boundedness for backward-process shifts, exact zero for pipeline termination
+and the strong check).  Every scan reads ``grid_values``.  Unbounded intervals
+are clipped to a long window; open endpoints are approached geometrically so
+blow-ups and limits near the boundary are seen even on a coarse linear grid.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from .interval import Interval
 
 SCAN_POINTS = 1001
 SCAN_WINDOW = 1e6
-ZERO_TOL = 1e-13
 
 # geometric offsets used both as near-endpoint samples and for limit estimation
 _APPROACH_STEPS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
@@ -83,14 +82,11 @@ def closure_value(fn, x: float) -> float:
     return endpoint_limit(fn.eval_real, dom, x)
 
 
-def _grid_values(fn, domain: Interval, n: int, window: float):
+def grid_values(fn, domain: Interval, n: int = SCAN_POINTS, window: float = SCAN_WINDOW):
+    """(grid, values): ``scan_grid(domain, n, window)`` and fn on it;
+    NonFiniteValue on a NaN or inf."""
     xs = scan_grid(domain, n, window)
-    return xs, np.asarray(fn(xs), dtype=float)
-
-
-def _finite_grid_values(fn, domain: Interval):
-    """(grid, values) on the default scan grid; NonFiniteValue on a NaN or inf."""
-    xs, vals = _grid_values(fn, domain, SCAN_POINTS, SCAN_WINDOW)
+    vals = np.asarray(fn(xs), dtype=float)
     odd = np.flatnonzero(~np.isfinite(vals))
     if odd.size:
         raise NonFiniteValue(f"value {vals[odd[0]]} at x={xs[odd[0]]!r} on the scan grid")
@@ -98,8 +94,8 @@ def _finite_grid_values(fn, domain: Interval):
 
 
 def is_zero_on_grid(fn, domain: Interval) -> bool:
-    """Whether |fn| <= ZERO_TOL on the scan grid; NonFiniteValue on a NaN or inf."""
-    return bool(np.all(np.abs(_finite_grid_values(fn, domain)[1]) <= ZERO_TOL))
+    """Whether fn is exactly 0.0 at every scan point; NonFiniteValue on a NaN or inf."""
+    return not np.any(grid_values(fn, domain)[1])
 
 
 def check_positive(fn, domain: Interval) -> None:
@@ -109,11 +105,11 @@ def check_positive(fn, domain: Interval) -> None:
     points ``endpoint_limit`` reads at a finite open endpoint; the limit there
     may be 0.  On a finite domain wider than SCAN_WINDOW the window keeps the
     lower end, and the far end is not sampled.  Raises NonFiniteValue on a NaN
-    or infinite grid value, ZeroFunction when the function vanishes
-    identically, NotPositive otherwise.
+    or infinite grid value, ZeroFunction when every grid value is exactly
+    0.0, NotPositive otherwise.
     """
-    xs, vals = _finite_grid_values(fn, domain)
-    if np.all(np.abs(vals) <= ZERO_TOL):
+    xs, vals = grid_values(fn, domain)
+    if not np.any(vals):
         raise ZeroFunction("function is identically zero on the scan grid")
     bad = np.flatnonzero(vals <= 0.0)
     if bad.size:
@@ -129,14 +125,6 @@ def check_negative(fn, domain: Interval) -> None:
         raise NotNegative(e.point, -e.value) from None
 
 
-def grid_sup(fn, domain: Interval, n: int = SCAN_POINTS, window: float = SCAN_WINDOW):
-    """(sup, inf) of fn over the scan grid."""
-    _, vals = _grid_values(fn, domain, n, window)
-    if not np.all(np.isfinite(vals)):
-        raise Unbounded("non-finite value on scan grid")
-    return float(np.max(vals)), float(np.min(vals))
-
-
 def check_bounded(fn, domain: Interval) -> tuple[float, float]:
     """Refinement-stable supremum check.
 
@@ -145,9 +133,13 @@ def check_bounded(fn, domain: Interval) -> tuple[float, float]:
     supremum magnitude, or a divergent endpoint limit, raises Unbounded.
     Returns (sup, inf) from the refined scan.
     """
-    sup1, inf1 = grid_sup(fn, domain, SCAN_POINTS, SCAN_WINDOW)
     window2 = SCAN_WINDOW if domain.bounded else 4 * SCAN_WINDOW
-    sup2, inf2 = grid_sup(fn, domain, 4 * SCAN_POINTS - 3, window2)
+    try:
+        v1 = grid_values(fn, domain)[1]
+        v2 = grid_values(fn, domain, 4 * SCAN_POINTS - 3, window2)[1]
+    except NonFiniteValue:
+        raise Unbounded("non-finite value on scan grid") from None
+    sup1, inf1, sup2, inf2 = v1.max(), v1.min(), float(v2.max()), float(v2.min())
     scale = 1.0 + max(abs(sup1), abs(inf1))
     if sup2 - sup1 > 0.10 * scale or inf1 - inf2 > 0.10 * scale:
         raise Unbounded("grid supremum diverges under refinement")

@@ -4,7 +4,11 @@ A cleanup that drops or moves one of these breaks the benchmark's workloads
 or its tracer; this test makes that visible without running the benchmark.
 """
 
+import importlib
 import inspect
+import pathlib
+import sys
+import types
 
 import pytest
 
@@ -18,6 +22,8 @@ TOP_LEVEL = (
     "classify_all", "replay_witness", "recover_atom_weight", "to_json",
 )
 CHANNELS = ("eval_real", "eval_complex", "eval_deriv")
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = ("classify-pass", "classify-fail", "pipeline-cli", "recover-atoms")
 # every function the benchmark's tracer (perfbench/spans.py, LAYER_FUNCTIONS)
 # wraps; a run without tracing never imports the tracer, so only this shows a
 # renamed or moved target before a traced run fails
@@ -65,3 +71,32 @@ def test_evaluation_channels_live_only_on_the_base_class():
             if klass is funexpr.FunctionExpr:
                 break
             assert not set(CHANNELS) & set(vars(klass)), cls.__name__
+
+
+@pytest.fixture(scope="module")
+def bench():
+    """The benchmark's harness, tracer and workloads, imported from perfbench/."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return tuple(importlib.import_module(m) for m in ("run", "spans", "workloads"))
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+@pytest.mark.parametrize("workload", WORKLOADS)
+def test_benchmark_tracer_self_check(bench, workload, tmp_path):
+    # what `perfbench/run.py --trace 1` checks, on one request: the request is
+    # correct, and every layer count the workload must exercise is nonzero
+    run, spans, workloads = bench
+    item = run.set_up(workloads, workload, 1, str(tmp_path))[0]
+    request = workloads.WORKLOADS[workload][1]
+    ctx = types.SimpleNamespace(work_dir=str(tmp_path), in_process=True, first_bytes={})
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        ok, _, extra = tracer.span("request", request, (item, ctx), {})
+    finally:
+        tracer.uninstall()
+    assert ok
+    _, counts = run.layer_metrics(tracer, 1, [extra], 1.0, 1.0, 0.0)
+    assert [k for k in run.DOMINANT[workload] if not counts.get(k)] == []

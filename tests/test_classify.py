@@ -314,6 +314,27 @@ def test_verdicts_do_not_change_when_f_is_scaled(name):
         assert verdicts == dict.fromkeys(verdicts, check(fn, QUICK).verdict), check.__name__
 
 
+UNIT = Interval(0.0, 1.0, True, True)
+STRONG_FAMILIES = {
+    "c(x-0.5)^2": lambda c: Quotient((0.25 * c, -c, c), (1.0,), UNIT),
+    "cx^2": lambda c: Quotient((0.0, 0.0, c), (1.0,), UNIT),
+    "c": lambda c: Constant(c, UNIT),
+    "-c": lambda c: Constant(-c, UNIT),
+    "c/x": lambda c: Quotient((c,), (0.0, 1.0), Interval(0.1, 1.0, True, True)),
+}
+
+
+@pytest.mark.parametrize("name", STRONG_FAMILIES)
+def test_strong_verdict_and_trials_do_not_change_when_f_is_scaled(name):
+    # the zero test is exact, so no scale takes a nonzero f to the 0-trial pass
+    family = STRONG_FAMILIES[name]
+    want = check_strong(family(1.0), QUICK)
+    for c in (1e-14, 1e-12, 1e-6, 1e6, 1e12):
+        cert = check_strong(family(c), QUICK)
+        assert (cert.verdict, cert.trials) == (want.verdict, want.trials), c
+    assert want.trials > 0
+
+
 # --- aggregate --------------------------------------------------------------------------
 
 def test_classify_all_on_a_decreasing_strongly_convex_function():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from loewner import (
@@ -179,6 +180,18 @@ def test_invalid_function_domain_is_eval_error(tmp_path, capsys):
     assert "bad function" in capsys.readouterr().err
 
 
+def test_overflowing_gap_is_eval_error(tmp_path, capsys):
+    # gaps of 1e308 x stay finite, but their Hermitian part must not overflow
+    spec = write_spec(tmp_path, {"function": {
+        "kind": "affine", "a": 1e308, "b": 0.0,
+        "domain": {"lo": 0.0, "hi": 1.0, "lo_closed": True, "hi_closed": True},
+    }})
+    out = tmp_path / "o"
+    with np.errstate(all="ignore"):
+        assert main(["classify", "--spec", spec, "--out", str(out), "--trials", "3"]) == 3
+    assert capsys.readouterr().err.startswith("loewner: NonFiniteValue")
+
+
 MEASURE_OM = {"kind": "measure_om", "a": 1.0, "b": 0.0, "x0": 0.5, "atoms_plus": [[2.0, 1.0]],
               "interval": {"lo": 0.0, "hi": 1.0}}
 
@@ -200,11 +213,12 @@ MEASURE_OM = {"kind": "measure_om", "a": 1.0, "b": 0.0, "x0": 0.5, "atoms_plus":
     {"kind": "power", "alpha": 0.5, "domain": {"lo": True, "hi": 2.0}},
     {**MEASURE_OM, "x0": "0.5"},
     {**MEASURE_OM, "atoms_plus": [[2.0, True]]},
+    {"kind": "power", "alpha": 0.5, "domain": {"lo": 0, "hi": 1e-300, "lo_closed": True}},
 ], ids=["catalog-params-list", "interval-flag-string", "quotient-no-den",
         "constant-nan", "quotient-den-zero", "quotient-den-empty", "quotient-num-string",
         "power-alpha-string", "constant-c-bool", "negrecip-flag-string",
         "catalog-param-string", "interval-lo-bool", "measure-x0-string",
-        "measure-atom-bool"])
+        "measure-atom-bool", "domain-too-thin-to-sample"])
 def test_malformed_function_spec_is_eval_error(tmp_path, capsys, function):
     spec = write_spec(tmp_path, {"function": function, "config": FAST})
     out = tmp_path / "o"

@@ -140,6 +140,9 @@ def test_quotient_eval_and_pole_rejection():
     assert np.isclose(f.eval_real(1.0), 1.5)
     with pytest.raises(DomainError):
         Quotient((1.0,), (1.0, 1.0), Interval(-2.0, 0.0))  # pole at -1 inside
+    # inf - inf * x is NaN at every grid point: no sign, so no quotient
+    with np.errstate(invalid="ignore"), pytest.raises(DomainError):
+        Quotient((1.0,), (np.inf, -np.inf), Interval(0.5, 1.0))
 
 
 def test_quotient_zero_or_empty_denominator_is_empty_domain():

@@ -61,6 +61,13 @@ def test_apply_fn_snaps_roundoff_at_closed_endpoints():
     assert out[0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
+def test_sym_of_entries_near_the_float_limit_is_finite():
+    # halving before the sum keeps m + m* from overflowing
+    m = np.full((2, 2), 1e308, dtype=complex)
+    assert np.all(np.isfinite(sym(m)))
+    assert np.array_equal(sym(m), m)
+
+
 def test_psd_predicates():
     assert psd_min_eig(np.diag([3.0, -2.0])) == pytest.approx(-2.0)
 

@@ -52,6 +52,8 @@ def test_is_zero_on_grid():
     dom = Interval(0.0, 3.0)
     assert is_zero_on_grid(Constant(0.0, dom), dom)
     assert not is_zero_on_grid(identity(dom), dom)
+    # exact: no tolerance, so no scale of a nonzero f reads as zero
+    assert not is_zero_on_grid(Constant(1e-14, dom), dom)
 
 
 def test_check_positive_accepts_open_endpoint_zero_limit():

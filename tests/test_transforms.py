@@ -46,6 +46,8 @@ def test_neg_reciprocal_requires_a_sign():
         neg_reciprocal(Affine(1.0, -1.0, dom), positive=False)
     with pytest.raises(ZeroFunction):
         neg_reciprocal(Constant(0.0, dom))
+    # only an exactly zero function is ZeroFunction, whatever the scale
+    assert neg_reciprocal(Constant(1e-14, dom)).eval_real(1.0) == -1.0 / 1e-14
 
 
 def test_neg_reciprocal_negative_mode():
