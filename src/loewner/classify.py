@@ -48,7 +48,6 @@ from .matcalc import (
     rand_hermitian,
     rand_ordered_pair,
     spectrum,
-    sym,
 )
 from .scanning import is_zero_on_grid
 
@@ -117,7 +116,30 @@ class Certificate:
                            d.get("witness"), d.get("detail", ""))
 
 
-def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
+class _Memo(dict):
+    """classify_all's memo, by trial group (size, *trials): h = rand_hermitian(rngs,
+    size, dom), which is monotone's h2, convex's h1 and strong's h alike, f(h),
+    and each stream's state just after h, which later checks resume in a pool."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn, self.pool = fn, []
+
+    def first(self, seed: int, size: int, members: list) -> tuple:
+        """(the group's streams just after h, (h, f(h)))."""
+        key = (size, *members)
+        if key not in self:
+            rngs = [np.random.default_rng([seed, t]) for t in members]
+            h = rand_hermitian(rngs, size, self.fn.domain)
+            self[key] = h, apply_fn(self.fn, h), [g.bit_generator.state for g in rngs]
+            return rngs, self[key][:2]
+        self.pool += [np.random.default_rng() for _ in members[len(self.pool):]]
+        for g, state in zip(self.pool, self[key][2]):
+            g.bit_generator.state = state
+        return self.pool[:len(members)], self[key][:2]
+
+
+def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, memo, trials):
     """Evaluate the trials, those of one size as stacks: the fail certificate of
     the lowest bad gap, or None; NonFiniteValue if that gap is not finite."""
     groups = {}
@@ -125,11 +147,14 @@ def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, trials):
         groups.setdefault(sizes[trial % len(sizes)], []).append(trial)
     hits = []     # (trial, part, fields, index, min eig or None)
     for size, members in groups.items():
-        rngs = [np.random.default_rng([config.seed, t]) for t in members]
-        for part, (owner, gap, scale, fields) in enumerate(probe(rngs, size)):
+        # a single trial, so every rerun of a raising chunk, runs as the check alone
+        rngs, first = (memo.first(config.seed, size, members)
+                       if memo is not None and len(members) > 1 else
+                       ([np.random.default_rng([config.seed, t]) for t in members], None))
+        for part, (owner, gap, scale, fields) in enumerate(probe(rngs, size, first)):
             finite = np.isfinite(gap).all(axis=(-2, -1))
-            mn, floor = min_eig_floor(np.where(finite[:, None, None], gap, 0.0),
-                                      scale, config.tol)
+            mn, floor = min_eig_floor(gap if finite.all() else
+                                      np.where(finite[:, None, None], gap, 0.0), scale, config.tol)
             for i in np.flatnonzero(~finite | (mn < floor))[:1]:
                 hits.append((members[owner[i]], part, fields, i,
                              float(mn[i]) if finite[i] else None))
@@ -149,19 +174,20 @@ def _fail(prop: str, config: CertifyConfig, trial, _, fields, i, mn) -> Certific
 
 
 def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
-            probe) -> Certificate:
+            probe, memo=None) -> Certificate:
     """Trials 0..count-1 in chunks [0], [1], then CHUNK at a time; trial k has
     size sizes[k % len(sizes)], stream default_rng([seed, k]).
 
-    ``probe(rngs, size)`` draws from each stream what one trial draws, in its
-    order, and yields parts (owner, gap, scale, fields): a stack of matrices
-    that must be PSD, the scale of each one's floor, the position in rngs of
-    each one's trial, and fields(i), the witness of gap i.  The first gap in
+    ``probe(rngs, size, first)`` draws from each stream what one trial draws
+    (after (h, f(h)) = ``first`` from ``memo``, if given), in its order, and
+    yields parts (owner, gap, scale, fields): a stack of matrices that must be
+    PSD, the scale of each one's floor, the position in rngs of each one's
+    trial, and fields(i), the witness of gap i.  The first gap in
     (trial, probe) order that is not finite or is below its floor decides.  A
     chunk that raises runs again one trial at a time, and the lowest trial's
     error propagates.
     """
-    scan = partial(_scan, prop, config, sizes, probe)
+    scan = partial(_scan, prop, config, sizes, probe, memo)
     for start in (*range(min(count, 2)), *range(2, count, CHUNK)):
         chunk = range(start, min(count, start + (CHUNK if start > 1 else 1)))
         try:
@@ -183,15 +209,14 @@ def _scale(*operands) -> np.ndarray:
     return reduce(np.maximum, (np.abs(m).sum(-1).max(-1) for m in operands))
 
 
-def _monotone_gap(fn, h1, h2) -> tuple:
-    """f(h2) - f(h1) for h1 <= h2."""
-    f1, f2 = apply_fn(fn, np.stack([h1, h2]))
+def _monotone_gap(f1, f2) -> tuple:
+    """f(h2) - f(h1) for h1 <= h2, given f1 = f(h1), f2 = f(h2)."""
     return f2 - f1, _scale(f1, f2)
 
 
 def _mix(h1, h2, t, dom) -> tuple:
     """The spectrum of t h1 + (1-t) h2."""
-    return spectrum(sym(t * h1 + (1.0 - t) * h2), dom)
+    return spectrum(t * h1 + (1.0 - t) * h2, dom)
 
 
 def _jensen_gap(fn, f1, f2, t, mix) -> tuple:
@@ -214,14 +239,15 @@ def _strong_gap(fn, fh, v, corner) -> tuple:
 
 # --- monotonicity -----------------------------------------------------------------
 
-def check_monotone(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+def check_monotone(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    def probe(rngs, n):
-        h1, h2 = rand_ordered_pair(rngs, n, fn.domain)
-        yield (np.arange(len(rngs)), *_monotone_gap(fn, h1, h2),
+    def probe(rngs, n, first):
+        h1, h2 = rand_ordered_pair(rngs, n, fn.domain, first and first[0])
+        f1, f2 = (apply_fn(fn, h1), first[1]) if first else apply_fn(fn, np.stack([h1, h2]))
+        yield (np.arange(len(rngs)), *_monotone_gap(f1, f2),
                lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
-    return _search("operator_monotone", config, config.trials, config.dims, probe)
+    return _search("operator_monotone", config, config.trials, config.dims, probe, memo)
 
 
 # --- convexity -------------------------------------------------------------------
@@ -231,8 +257,7 @@ def _corner_parts(fn, check, gap, rngs, n, h, fh):
     and yield one part per rank drawn: gap(f, f(h), V, spectrum of V*hV) for
     the trials of that rank, given fh = f(h), with witness fields h1 = h and
     the projection p = VV*."""
-    ranks = np.array([int(g.integers(1, n)) for g in rngs])
-    u = haar_unitary(rngs, n)
+    ranks, u = haar_unitary(rngs, n, ranked=True)
     for r in np.unique(ranks):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
@@ -242,28 +267,29 @@ def _corner_parts(fn, check, gap, rngs, n, h, fh):
                                            "p": v[i] @ v[i].conj().T})
 
 
-def check_convex(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+def check_convex(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> Certificate:
     """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
-    def probe(rngs, n):
-        h1 = rand_hermitian(rngs, n, fn.domain)
+    def probe(rngs, n, first):
+        h1, f1 = first or (rand_hermitian(rngs, n, fn.domain), None)
         h2 = rand_hermitian(rngs, n, fn.domain)
         ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
         h = rand_hermitian(rngs, n, fn.domain)
-        f1, f2, fh = apply_spectrum(fn, spectrum(np.stack([h1, h2, h]), fn.domain))
-        mix = _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain)
-        gap, scale = _jensen_gap(fn, f1[:, None], f2[:, None], ts[..., None, None], mix)
+        fs = apply_spectrum(fn, spectrum(np.stack([h2, h] if first else [h1, h2, h]), fn.domain))
+        f1, f2, fh = (f1, *fs) if first else fs
+        gap, scale = _jensen_gap(fn, f1[:, None], f2[:, None], ts[..., None, None],
+                                 _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain))
         per = T_DRAWS + 1
         yield (np.arange(len(rngs)).repeat(per), gap.reshape(-1, n, n), scale.reshape(-1),
                lambda i: {"check": "jensen", "dim": n, "t": float(ts.flat[i]),
                           "h1": h1[i // per], "h2": h2[i // per]})
         yield from _corner_parts(fn, "davis", _davis_gap, rngs, n, h, fh)
 
-    return _search("operator_convex", config, config.trials, config.dims, probe)
+    return _search("operator_convex", config, config.trials, config.dims, probe, memo)
 
 
 # --- strong convexity --------------------------------------------------------------
 
-def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
+def check_strong(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> Certificate:
     """Compression-domination trials, cross-checked by the paper's iff.
 
     f exactly 0.0 at every scan point passes outright with 0 trials, and a
@@ -278,11 +304,12 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
         return Certificate(prop, "pass", 0, config.tol, config.seed,
                            detail="identically zero on the scan grid")
 
-    def probe(rngs, n):
-        h = rand_hermitian(rngs, n, fn.domain)
-        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h, apply_fn(fn, h))
+    def probe(rngs, n, first):
+        h = first[0] if first else rand_hermitian(rngs, n, fn.domain)
+        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h,
+                                 first[1] if first else apply_fn(fn, h))
 
-    direct = _search(prop, config, config.trials, config.dims, probe)
+    direct = _search(prop, config, config.trials, config.dims, probe, memo)
     if direct.verdict == "fail":
         return direct
     win = fn.domain.clip(CLIP_LEN)
@@ -326,7 +353,7 @@ def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     win = fn.domain.clip(CLIP_LEN)
     lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
-    def probe(rngs, size):
+    def probe(rngs, size, _):
         nodes = np.array([g.uniform(lo, hi, size=size) for g in rngs])
         yield (np.arange(len(rngs)), *_loewner_gap(fn, nodes),
                lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
@@ -354,7 +381,7 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     win = fn.domain.clip(CLIP_LEN)
     mid, half = 0.5 * (win.lo + win.hi), 0.5 * (win.hi - win.lo)
 
-    def probe(rngs, size):
+    def probe(rngs, size, _):
         zs = mid + half * np.exp([g.uniform(np.log(1e-3), np.log(10.0), size)
                                   + 1j * np.pi * (1.0 - g.random(size)) for g in rngs])
         yield (np.arange(len(rngs)), *_pick_gap(fn, zs),
@@ -378,10 +405,11 @@ class ClassifyResult:
 
 def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
     """Run all five checks and cross-check the implications between them."""
+    memo = _Memo(fn)
     certs = {
-        "monotone": check_monotone(fn, config),
-        "convex": check_convex(fn, config),
-        "strong": check_strong(fn, config),
+        "monotone": check_monotone(fn, config, memo=memo),
+        "convex": check_convex(fn, config, memo=memo),
+        "strong": check_strong(fn, config, memo=memo),
         "loewner": check_loewner(fn, config),
         "halfplane": check_halfplane(fn, config),
     }
@@ -410,7 +438,8 @@ def replay_witness(fn, cert: Certificate) -> float:
     elif kind == "loewner":
         gap = loewner_matrix(fn, json_numbers(w["nodes"]))
     elif kind == "monotone":
-        gap, _ = _monotone_gap(fn, matrix_from_json(w["h1"]), matrix_from_json(w["h2"]))
+        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
+        gap, _ = _monotone_gap(*apply_fn(fn, np.stack([h1, h2])))
     elif kind == "jensen":
         h1, h2, t = matrix_from_json(w["h1"]), matrix_from_json(w["h2"]), json_number(w["t"])
         gap, _ = _jensen_gap(fn, apply_fn(fn, h1), apply_fn(fn, h2), t,

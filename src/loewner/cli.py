@@ -340,7 +340,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        with np.errstate(all="ignore"):  # non-finite values raise by value, never by warning
+            return args.handler(args)
     except _CliFailure as err:
         print(f"loewner: {err}", file=sys.stderr)
         return err.code

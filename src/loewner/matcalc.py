@@ -148,9 +148,13 @@ def _unitary(z: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))[..., None, :]
 
 
-def haar_unitary(rng, n: int) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase fix."""
-    return _unitary(_each(rng, lambda g: g.standard_normal((2, n, n))))
+def haar_unitary(rng, n: int, ranked: bool = False):
+    """Haar-distributed unitary u via QR with the standard phase fix; ranked,
+    (r, u) with a rank r in 1..n-1 drawn first, in the same pass per stream."""
+    head = (lambda g: [g.integers(1, n)]) if ranked else (lambda g: [])
+    d = _each(rng, lambda g: np.concatenate([head(g), g.standard_normal(2 * n * n)]))
+    u = _unitary(d[..., int(ranked):].reshape(d.shape[:-1] + (2, n, n)))
+    return (d[..., 0].astype(int), u) if ranked else u
 
 
 def _spectrum_window(domain: Interval) -> tuple:
@@ -175,24 +179,24 @@ def rand_hermitian(rng, n: int, domain: Interval) -> np.ndarray:
     return sym((u * d[..., None, :n]) @ _adj(u))
 
 
-def rand_ordered_pair(rng, n: int, domain: Interval) -> tuple:
+def rand_ordered_pair(rng, n: int, domain: Interval, h2: np.ndarray = None) -> tuple:
     """(h1, h2) with h1 <= h2 and both spectra inside the domain.
 
-    h2 is drawn at random; h1 = h2 - w * vv* with the rank-one weight w
-    capped at lambda_min(h2) minus the window floor, which keeps h1's
-    spectrum inside by construction (no rejection loop needed).
+    h2 is rand_hermitian's draw, or the one given; h1 = h2 - w * vv* with the
+    rank-one weight w capped at lambda_min(h2) minus the window floor, which
+    keeps h1's spectrum inside by construction (no rejection loop needed).
     """
     lo, hi = _spectrum_window(domain)
-    h2 = rand_hermitian(rng, n, domain)
+    h2 = rand_hermitian(rng, n, domain) if h2 is None else h2
     lam_min = np.linalg.eigvalsh(h2).min(-1)
     head = np.maximum(lam_min - lo, 0.0)  # eigh roundoff can put lam_min a hair under lo
 
-    def unit(g):
+    def draw(g):  # per stream in one pass: the unit vector v, then the weight's uniform
         v = g.standard_normal(n) + 1j * g.standard_normal(n)
-        return v / np.linalg.norm(v)
+        return np.append(v / np.linalg.norm(v), g.uniform(0.0, 1.0))
 
-    v = _each(rng, unit)
-    w = _each(rng, lambda g: g.uniform(0.0, 1.0)) * head
+    d = _each(rng, draw)
+    v, w = d[..., :n], d[..., n].real * head
     h1 = sym(h2 - w[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]))
     return h1, h2
 

@@ -17,12 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from . import funexpr as fe
 from .errors import NotRational
 
 __all__ = ["RationalFunction", "as_rational"]
+
+
+def _P():  # numpy.polynomial.polynomial, looked up on use: loading it costs every import
+    return np.polynomial.polynomial
 
 
 def _frac(x) -> Fraction:
@@ -31,13 +34,13 @@ def _frac(x) -> Fraction:
 
 def _fracs(p) -> np.ndarray:
     """p as a trimmed object array of Fractions."""
-    return P.polytrim(np.array([_frac(c) for c in p], dtype=object))
+    return _P().polytrim(np.array([_frac(c) for c in p], dtype=object))
 
 
 def _pgcd(p, q) -> np.ndarray:
     """Monic gcd of two nonzero trimmed Fraction arrays, by Euclid."""
     while q[-1] != 0:
-        p, q = q, P.polydiv(p, q)[1]
+        p, q = q, _P().polydiv(p, q)[1]
     return p / p[-1]
 
 
@@ -57,7 +60,7 @@ class RationalFunction:
         else:
             g = _pgcd(num, den)
             if len(g) > 1:
-                num, den = P.polydiv(num, g)[0], P.polydiv(den, g)[0]
+                num, den = _P().polydiv(num, g)[0], _P().polydiv(den, g)[0]
             num, den = num / den[-1], den / den[-1]
         object.__setattr__(self, "num", tuple(num))
         object.__setattr__(self, "den", tuple(den))
@@ -74,36 +77,36 @@ class RationalFunction:
 
     def __call__(self, x) -> Fraction:
         x = _frac(x)
-        dv = P.polyval(x, self.den)
+        dv = _P().polyval(x, self.den)
         if dv == 0:
             raise ZeroDivisionError(f"pole at {x}")
-        return P.polyval(x, self.num) / dv
+        return _P().polyval(x, self.num) / dv
 
     # --- pipeline transforms (all exact) ---
 
     def diffquot(self, x0) -> "RationalFunction":
         """(f(x) - f(x0)) / (x - x0) with the removable factor cancelled."""
         x0 = _frac(x0)
-        d0 = P.polyval(x0, self.den)
+        d0 = _P().polyval(x0, self.den)
         if d0 == 0:
             raise NotRational(f"pole at difference-quotient center {x0}")
-        n0 = P.polyval(x0, self.num)
+        n0 = _P().polyval(x0, self.num)
         # f(x) - f(x0) = (num * d0 - n0 * den) / (den * d0); root at x0 is exact
-        top = P.polysub(P.polymul(self.num, (d0,)), P.polymul(self.den, (n0,)))
-        quot, rem = P.polydiv(top, (-x0, Fraction(1)))
+        top = _P().polysub(_P().polymul(self.num, (d0,)), _P().polymul(self.den, (n0,)))
+        quot, rem = _P().polydiv(top, (-x0, Fraction(1)))
         assert rem[-1] == 0, "difference-quotient numerator must vanish at x0"
-        return RationalFunction(quot, P.polymul(self.den, (d0,)))
+        return RationalFunction(quot, _P().polymul(self.den, (d0,)))
 
     def negrecip(self) -> "RationalFunction":
         if self.is_zero:
             raise ZeroDivisionError("-1/f of the zero function")
-        return RationalFunction(P.polysub((Fraction(0),), self.den), self.num)
+        return RationalFunction(_P().polysub((Fraction(0),), self.den), self.num)
 
     def mullinear(self, x0, c=0) -> "RationalFunction":
         """f(x) * (x - x0) + c."""
         x0, c = _frac(x0), _frac(c)
-        shifted = P.polymul(self.num, (-x0, Fraction(1)))
-        return RationalFunction(P.polyadd(shifted, P.polymul(self.den, (c,))), self.den)
+        shifted = _P().polymul(self.num, (-x0, Fraction(1)))
+        return RationalFunction(_P().polyadd(shifted, _P().polymul(self.den, (c,))), self.den)
 
 
 def as_rational(fn) -> RationalFunction:
@@ -148,7 +151,7 @@ def _form_rational(rep) -> RationalFunction:
     else:
         coeffs, k = (rep.a,), 0
     x0 = _frac(getattr(rep, "x0", 0.0))
-    lift = P.polypow((-x0, Fraction(1)), k)  # (x - x0)^k
+    lift = _P().polypow((-x0, Fraction(1)), k)  # (x - x0)^k
     out = RationalFunction(coeffs)
     for r, w in rep.signed_atoms:
         r = _frac(r)
@@ -158,5 +161,5 @@ def _form_rational(rep) -> RationalFunction:
 
 
 def _radd(f: RationalFunction, g: RationalFunction) -> RationalFunction:
-    num = P.polyadd(P.polymul(f.num, g.den), P.polymul(g.num, f.den))
-    return RationalFunction(num, P.polymul(f.den, g.den))
+    num = _P().polyadd(_P().polymul(f.num, g.den), _P().polymul(g.num, f.den))
+    return RationalFunction(num, _P().polymul(f.den, g.den))

@@ -371,7 +371,7 @@ def test_classify_all_flags_nothing_for_sqrt():
 def test_classify_all_flags_a_broken_implication(monkeypatch, verdicts, flag):
     for name in ("monotone", "convex", "strong", "loewner", "halfplane"):
         cert = Certificate(name, verdicts.get(name, "inconclusive"), 0, 1e-9, 0)
-        monkeypatch.setattr(classify, f"check_{name}", lambda fn, config, c=cert: c)
+        monkeypatch.setattr(classify, f"check_{name}", lambda fn, config, c=cert, **_: c)
     assert classify_all(SQRT, QUICK).flags == (flag,)
 
 
@@ -412,7 +412,7 @@ def test_replay_rejects_unknown_check():
 def test_chunks_are_two_single_trials_then_the_cap():
     sizes = []
 
-    def probe(rngs, size):
+    def probe(rngs, size, first):
         sizes.append(len(rngs))
         yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), 1.0, None
 
@@ -425,7 +425,7 @@ def _synthetic_probe(outcomes):
     maps a trial to "fail" (an eigenvalue -1), "nan" (a NaN entry) or "raise"
     (evaluating its stack raises).  A trial is known by the first draw of its
     stream (the synthetic searches run trials 0..7)."""
-    def probe(rngs, size):
+    def probe(rngs, size, first):
         draws = [g.uniform() for g in rngs]
         trials = {np.random.default_rng([0, t]).uniform(): t for t in range(8)}
         kinds = [outcomes.get(trials[d]) for d in draws]

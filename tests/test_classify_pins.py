@@ -151,6 +151,46 @@ def test_a_later_trial_raises_the_same_error_on_any_chunk_schedule(monkeypatch):
     assert errors == ["synthetic at 19.701334726290177"] * 2
 
 
+# classify_all's memo holds each trial group's first draw, shared by monotone,
+# convex and strong.  A chunk that raises after the memo was filled must still
+# raise what the check alone raises.  Monotone: sqrt above 19.6 raises first at
+# trial 9, in the size-2 stack of trials 2..59, after the size-4 stack of that
+# chunk (its largest first-draw eigenvalue 19.56) filled the memo.  Convex: x
+# on (0, 3) above 2.95 while check_convex runs raises first in the chunk of
+# trials 2..59, all of whose groups monotone, which x passes, put in the memo.
+
+@pytest.mark.parametrize("fn, check, above", [
+    (SQRT, "monotone", 19.6),
+    (Power(1.0, Interval(0.0, 3.0)), "convex", 2.95),
+], ids=["monotone", "convex"])
+def test_a_chunk_raising_after_the_memo_was_filled_raises_what_the_check_alone_raises(
+        fn, check, above, monkeypatch):
+    val, alone, memo = Power._val, getattr(classify, f"check_{check}"), classify._Memo
+    running, memos = [], []
+
+    def raising(self, xs):
+        if running and np.max(xs) > above:
+            raise DomainError(f"synthetic at {float(np.max(xs))!r}")
+        return val(self, xs)
+
+    def traced(fn, config, **kw):
+        running.append(check)
+        try:
+            return alone(fn, config, **kw)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(Power, "_val", raising)
+    monkeypatch.setattr(classify, f"check_{check}", traced)
+    monkeypatch.setattr(classify, "_Memo", lambda fn: memos.append(memo(fn)) or memos[-1])
+    with pytest.raises(DomainError) as shared:
+        classify_all(fn, QUICK)
+    assert any(len(group) > 2 for group in memos[0])    # a stack of trials is in the memo
+    with pytest.raises(DomainError) as single:
+        traced(fn, QUICK)
+    assert str(shared.value) == str(single.value)
+
+
 # --- the default config: 300 trials, so every chunk boundary of the search is
 # crossed.  Recorded from the one-trial-at-a-time search loop.
 
@@ -230,6 +270,7 @@ SHARED_QUICK = {
 ], ids=[*SHARED_QUICK, "soc_pass_default"])
 def test_shared_certificates_equal_standalone_ones(fn, config):
     certs = classify_all(fn, config).certificates
+    assert certs["monotone"] == check_monotone(fn, config)
     assert certs["convex"] == check_convex(fn, config)
     assert certs["strong"] == check_strong(fn, config)
 
@@ -242,16 +283,30 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
 # eigensolve; 1,185 when the second route was convexity of -1/f on the draws
 # of f's convexity search, 2,003 when that ran its own search in chunks of 32).
 CLASSIFY_MAX_EIGENSOLVES = 502
+# Matrices those calls decompose (the sum of their stack sizes): 9,192 before
+# monotone, convex and strong shared each trial group's first draw, when convex
+# decomposed its h1 and strong its h again.
+CLASSIFY_MAX_DECOMPOSED = 8596
+
+
+def _classify_all_stacks(monkeypatch) -> list:
+    """The stack size of each eigh and eigvalsh call of one default-config
+    classify_all on a passing input."""
+    stacks = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, *r, solve=solve, **kw: stacks.append(
+            int(np.prod(np.shape(a)[:-2]))) or solve(a, *r, **kw))
+    assert classify_all(DEFAULT_FUNCTIONS["soc_pass"]).flags == ()
+    return stacks
 
 
 def test_classify_all_eigensolves_stay_within_budget(monkeypatch):
-    calls = []
-    for name in ("eigh", "eigvalsh"):
-        solve = getattr(np.linalg, name)
-        monkeypatch.setattr(np.linalg, name,
-                            lambda *a, solve=solve, **kw: calls.append(1) or solve(*a, **kw))
-    assert classify_all(DEFAULT_FUNCTIONS["soc_pass"]).flags == ()
-    assert len(calls) <= CLASSIFY_MAX_EIGENSOLVES
+    assert len(_classify_all_stacks(monkeypatch)) <= CLASSIFY_MAX_EIGENSOLVES
+
+
+def test_classify_all_decomposes_each_shared_first_draw_once(monkeypatch):
+    assert sum(_classify_all_stacks(monkeypatch)) <= CLASSIFY_MAX_DECOMPOSED
 
 
 def test_classify_all_leaves_no_reference_cycle():

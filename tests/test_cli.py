@@ -1,10 +1,16 @@
-"""End-to-end CLI tests, run in process through main(argv)."""
+"""End-to-end CLI tests, run in process through main(argv), and one run as a
+process, to see all that it writes to stderr."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import loewner
 from loewner import (
     DiscreteMeasure,
     Interval,
@@ -190,6 +196,20 @@ def test_overflowing_gap_is_eval_error(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["classify", "--spec", spec, "--out", str(out), "--trials", "3"]) == 3
     assert capsys.readouterr().err.startswith("loewner: NonFiniteValue")
+
+
+def test_a_non_finite_run_writes_only_its_error_to_stderr(tmp_path):
+    # on the real line f(h) of 1e308 x overflows inside numpy, which would warn
+    spec = write_spec(tmp_path, {"function": {"kind": "affine", "a": 1e308, "b": 0.0}})
+    src = str(pathlib.Path(loewner.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "loewner.cli", "classify", "--spec", spec,
+         "--out", str(tmp_path / "o"), "--trials", "3"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 3
+    assert run.stderr.splitlines() == [
+        "loewner: NonFiniteValue: operator_monotone trial 0: the monotone matrix has a "
+        "non-finite entry"]
 
 
 MEASURE_OM = {"kind": "measure_om", "a": 1.0, "b": 0.0, "x0": 0.5, "atoms_plus": [[2.0, 1.0]],

@@ -205,6 +205,9 @@ def test_stacked_apply_sym_and_floor_equal_per_matrix_calls(n):
 
 SAMPLERS = {
     "haar_unitary": lambda rng, n: haar_unitary(rng, n),
+    # each rank scales its unitary, so that both must match
+    "haar_unitary_ranked": lambda rng, n: (lambda r, u: u * np.asarray(r)[..., None, None])(
+        *haar_unitary(rng, n, ranked=True)),
     "rand_hermitian": lambda rng, n: rand_hermitian(rng, n, STACK_DOMAIN),
     "rand_ordered_pair": lambda rng, n: np.stack(rand_ordered_pair(rng, n, STACK_DOMAIN),
                                                  axis=-3),
