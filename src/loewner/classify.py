@@ -39,10 +39,12 @@ from .matcalc import (
     apply_spectrum,
     compress,
     embed,
-    haar_unitary,
+    hermitian_draw,
+    isometry_draw,
     matrix_from_json,
     matrix_to_json,
     min_eig_floor,
+    pair_draw,
     projection_basis,
     psd_min_eig,
     rand_hermitian,
@@ -116,27 +118,28 @@ class Certificate:
                            d.get("witness"), d.get("detail", ""))
 
 
-class _Memo(dict):
-    """classify_all's memo, by trial group (size, *trials): h = rand_hermitian(rngs,
-    size, dom), which is monotone's h2, convex's h1 and strong's h alike, f(h),
-    and each stream's state just after h, which later checks resume in a pool."""
+class _DrawCache(dict):
+    """Domain-free draws as read-only arrays, by (seed, size, *trials, draws): what
+    the last of draws draws on fresh streams default_rng([seed, t]) after the
+    others.  The least recently used go once the arrays pass ``budget`` bytes."""
+    budget, nbytes = 4 << 20, 0
 
-    def __init__(self, fn):
-        super().__init__()
-        self.fn, self.pool = fn, []
+    def drawn(self, seed: int, size: int, trials: list, *draws) -> tuple:
+        key = (seed, size, *trials, draws)
+        out = self.pop(key, None)    # and back in last, as the most recently used
+        if out is None:
+            rngs = [np.random.default_rng([seed, t]) for t in trials]
+            out = [draw(rngs, size) for draw in draws][-1]
+            for a in out:
+                a.flags.writeable = False
+                self.nbytes += a.nbytes
+        self[key] = out
+        while self.nbytes > self.budget:
+            self.nbytes -= sum(a.nbytes for a in self.pop(next(iter(self))))
+        return out
 
-    def first(self, seed: int, size: int, members: list) -> tuple:
-        """(the group's streams just after h, (h, f(h)))."""
-        key = (size, *members)
-        if key not in self:
-            rngs = [np.random.default_rng([seed, t]) for t in members]
-            h = rand_hermitian(rngs, size, self.fn.domain)
-            self[key] = h, apply_fn(self.fn, h), [g.bit_generator.state for g in rngs]
-            return rngs, self[key][:2]
-        self.pool += [np.random.default_rng() for _ in members[len(self.pool):]]
-        for g, state in zip(self.pool, self[key][2]):
-            g.bit_generator.state = state
-        return self.pool[:len(members)], self[key][:2]
+
+_DRAWS = _DrawCache()
 
 
 def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, memo, trials):
@@ -148,10 +151,10 @@ def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, memo, trials):
     hits = []     # (trial, part, fields, index, min eig or None)
     for size, members in groups.items():
         # a single trial, so every rerun of a raising chunk, runs as the check alone
-        rngs, first = (memo.first(config.seed, size, members)
-                       if memo is not None and len(members) > 1 else
-                       ([np.random.default_rng([config.seed, t]) for t in members], None))
-        for part, (owner, gap, scale, fields) in enumerate(probe(rngs, size, first)):
+        first = (memo.setdefault((size, *members), [])
+                 if memo is not None and len(members) > 1 else [])
+        drawn = partial(_DRAWS.drawn, config.seed, size, members)
+        for part, (owner, gap, scale, fields) in enumerate(probe(drawn, size, first)):
             finite = np.isfinite(gap).all(axis=(-2, -1))
             mn, floor = min_eig_floor(gap if finite.all() else
                                       np.where(finite[:, None, None], gap, 0.0), scale, config.tol)
@@ -178,14 +181,16 @@ def _search(prop: str, config: CertifyConfig, count: int, sizes: tuple,
     """Trials 0..count-1 in chunks [0], [1], then CHUNK at a time; trial k has
     size sizes[k % len(sizes)], stream default_rng([seed, k]).
 
-    ``probe(rngs, size, first)`` draws from each stream what one trial draws
-    (after (h, f(h)) = ``first`` from ``memo``, if given), in its order, and
-    yields parts (owner, gap, scale, fields): a stack of matrices that must be
-    PSD, the scale of each one's floor, the position in rngs of each one's
-    trial, and fields(i), the witness of gap i.  The first gap in
-    (trial, probe) order that is not finite or is below its floor decides.  A
-    chunk that raises runs again one trial at a time, and the lowest trial's
-    error propagates.
+    ``probe(drawn, size, first)`` takes from ``drawn(*draws)`` what the last of
+    draws, functions of (streams, size), draws on the streams of the trials of
+    one size after the others, and yields parts (owner, gap, scale, fields): a
+    stack of matrices that must be PSD, the scale of each one's floor, each
+    one's trial by position, and fields(i), the witness of gap i.  ``first``
+    is [h, f(h)] of the group's first draw h = rand_hermitian (monotone's h2,
+    convex's h1, strong's h) from ``memo``, or [] for monotone to fill.  The
+    first gap in (trial, probe) order that is not finite or is below its floor
+    decides; a chunk that raises runs again one trial at a time, and the lowest
+    trial's error propagates.
     """
     scan = partial(_scan, prop, config, sizes, probe, memo)
     for start in (*range(min(count, 2)), *range(2, count, CHUNK)):
@@ -241,10 +246,12 @@ def _strong_gap(fn, fh, v, corner) -> tuple:
 
 def check_monotone(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> Certificate:
     """Random ordered pairs h1 <= h2: f(h2) - f(h1) must stay PSD."""
-    def probe(rngs, n, first):
-        h1, h2 = rand_ordered_pair(rngs, n, fn.domain, first and first[0])
-        f1, f2 = (apply_fn(fn, h1), first[1]) if first else apply_fn(fn, np.stack([h1, h2]))
-        yield (np.arange(len(rngs)), *_monotone_gap(f1, f2),
+    def probe(drawn, n, first):
+        h2 = rand_hermitian(drawn(hermitian_draw), n, fn.domain)
+        h1, h2 = rand_ordered_pair(drawn(hermitian_draw, pair_draw), n, fn.domain, h2)
+        f1, f2 = apply_fn(fn, np.stack([h1, h2]))
+        first[:] = h2, f2.copy()
+        yield (np.arange(len(h1)), *_monotone_gap(f1, f2),
                lambda i: {"check": "monotone", "dim": n, "h1": h1[i], "h2": h2[i]})
 
     return _search("operator_monotone", config, config.trials, config.dims, probe, memo)
@@ -252,12 +259,17 @@ def check_monotone(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) ->
 
 # --- convexity -------------------------------------------------------------------
 
-def _corner_parts(fn, check, gap, rngs, n, h, fh):
-    """Draw each trial's isometry V (a rank in 1..n-1, then a Haar unitary)
-    and yield one part per rank drawn: gap(f, f(h), V, spectrum of V*hV) for
-    the trials of that rank, given fh = f(h), with witness fields h1 = h and
-    the projection p = VV*."""
-    ranks, u = haar_unitary(rngs, n, ranked=True)
+def _convex_draws(rngs, n: int) -> tuple:
+    """Convex's draws after h1: h2, the Jensen weights, h, and h's isometries."""
+    h2 = hermitian_draw(rngs, n)
+    ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
+    return (*h2, ts, *hermitian_draw(rngs, n), *isometry_draw(rngs, n))
+
+
+def _corner_parts(fn, check, gap, ranks, u, n, h, fh):
+    """One part per rank drawn, for the isometries V = u[:, :rank]: gap(f,
+    f(h), V, spectrum of V*hV) for the trials of that rank, given fh = f(h),
+    with witness fields h1 = h and the projection p = VV*."""
     for r in np.unique(ranks):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
@@ -269,20 +281,19 @@ def _corner_parts(fn, check, gap, rngs, n, h, fh):
 
 def check_convex(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> Certificate:
     """Jensen combinations (t = 1/2 plus random t) and corner compressions."""
-    def probe(rngs, n, first):
-        h1, f1 = first or (rand_hermitian(rngs, n, fn.domain), None)
-        h2 = rand_hermitian(rngs, n, fn.domain)
-        ts = np.array([[0.5, *g.uniform(0.0, 1.0, T_DRAWS)] for g in rngs])
-        h = rand_hermitian(rngs, n, fn.domain)
+    def probe(drawn, n, first):
+        x2, u2, ts, x, u, ranks, us = drawn(hermitian_draw, _convex_draws)
+        h1 = first[0] if first else rand_hermitian(drawn(hermitian_draw), n, fn.domain)
+        h2, h = rand_hermitian((x2, u2), n, fn.domain), rand_hermitian((x, u), n, fn.domain)
         fs = apply_spectrum(fn, spectrum(np.stack([h2, h] if first else [h1, h2, h]), fn.domain))
-        f1, f2, fh = (f1, *fs) if first else fs
+        f1, f2, fh = (first[1], *fs) if first else fs
         gap, scale = _jensen_gap(fn, f1[:, None], f2[:, None], ts[..., None, None],
                                  _mix(h1[:, None], h2[:, None], ts[..., None, None], fn.domain))
         per = T_DRAWS + 1
-        yield (np.arange(len(rngs)).repeat(per), gap.reshape(-1, n, n), scale.reshape(-1),
+        yield (np.arange(len(h)).repeat(per), gap.reshape(-1, n, n), scale.reshape(-1),
                lambda i: {"check": "jensen", "dim": n, "t": float(ts.flat[i]),
                           "h1": h1[i // per], "h2": h2[i // per]})
-        yield from _corner_parts(fn, "davis", _davis_gap, rngs, n, h, fh)
+        yield from _corner_parts(fn, "davis", _davis_gap, ranks, us, n, h, fh)
 
     return _search("operator_convex", config, config.trials, config.dims, probe, memo)
 
@@ -304,9 +315,10 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> C
         return Certificate(prop, "pass", 0, config.tol, config.seed,
                            detail="identically zero on the scan grid")
 
-    def probe(rngs, n, first):
-        h = first[0] if first else rand_hermitian(rngs, n, fn.domain)
-        yield from _corner_parts(fn, "strong", _strong_gap, rngs, n, h,
+    def probe(drawn, n, first):
+        h = first[0] if first else rand_hermitian(drawn(hermitian_draw), n, fn.domain)
+        ranks, u = drawn(hermitian_draw, isometry_draw)
+        yield from _corner_parts(fn, "strong", _strong_gap, ranks, u, n, h,
                                  first[1] if first else apply_fn(fn, h))
 
     direct = _search(prop, config, config.trials, config.dims, probe, memo)
@@ -348,14 +360,19 @@ def loewner_matrix(fn, nodes) -> np.ndarray:
     return _loewner_gap(fn, nodes)[0]
 
 
+def _unit_nodes(rngs, size: int) -> tuple:
+    """2 size unit uniforms per stream: Loewner's nodes from half, Pick's from all."""
+    return np.array([g.random(2 * size) for g in rngs]),
+
+
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
     win = fn.domain.clip(CLIP_LEN)
     lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
-    def probe(rngs, size, _):
-        nodes = np.array([g.uniform(lo, hi, size=size) for g in rngs])
-        yield (np.arange(len(rngs)), *_loewner_gap(fn, nodes),
+    def probe(drawn, size, _):
+        nodes = lo + (hi - lo) * drawn(_unit_nodes)[0][:, :size]    # bitwise g.uniform(lo, hi)
+        yield (np.arange(len(nodes)), *_loewner_gap(fn, nodes),
                lambda i: {"check": "loewner", "nodes": sorted(nodes[i].tolist())})
 
     return _search("loewner_order", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
@@ -381,10 +398,11 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     win = fn.domain.clip(CLIP_LEN)
     mid, half = 0.5 * (win.lo + win.hi), 0.5 * (win.hi - win.lo)
 
-    def probe(rngs, size, _):
-        zs = mid + half * np.exp([g.uniform(np.log(1e-3), np.log(10.0), size)
-                                  + 1j * np.pi * (1.0 - g.random(size)) for g in rngs])
-        yield (np.arange(len(rngs)), *_pick_gap(fn, zs),
+    def probe(drawn, size, _):
+        (u,) = drawn(_unit_nodes)   # log r bitwise g.uniform(log 1e-3, log 10), then theta
+        zs = mid + half * np.exp(np.log(1e-3) + (np.log(10.0) - np.log(1e-3)) * u[:, :size]
+                                 + 1j * np.pi * (1.0 - u[:, size:]))
+        yield (np.arange(len(zs)), *_pick_gap(fn, zs),
                lambda i: {"check": "pick", "nodes": [[z.real, z.imag] for z in zs[i].tolist()]})
 
     return _search("halfplane", config, LOEWNER_SETS, LOEWNER_SIZES, probe)
@@ -405,7 +423,7 @@ class ClassifyResult:
 
 def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:
     """Run all five checks and cross-check the implications between them."""
-    memo = _Memo(fn)
+    memo = {}     # (size, *trials) -> [h, f(h)] of the group's first draw
     certs = {
         "monotone": check_monotone(fn, config, memo=memo),
         "convex": check_convex(fn, config, memo=memo),

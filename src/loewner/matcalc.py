@@ -3,7 +3,8 @@
 Everything works on complex ndarrays.  Inputs are symmetrized (Hermitian
 part) before eigendecomposition so tiny asymmetries from upstream arithmetic
 cannot leak into eigenvalues.  Random objects draw from an explicit
-``numpy.random.Generator`` — nothing here touches global state.
+``numpy.random.Generator`` — nothing here touches global state.  Samplers also
+map what their ``*_draw`` drew from generators (domain-free arrays) onto a domain.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .interval import Interval
 __all__ = [
     "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
     "spectral_norm", "projection_basis", "complement_basis", "compress", "embed",
-    "schur_complement", "haar_unitary", "rand_hermitian", "rand_ordered_pair",
-    "matrix_to_json", "matrix_from_json",
+    "schur_complement", "isometry_draw", "haar_unitary", "hermitian_draw", "rand_hermitian",
+    "pair_draw", "rand_ordered_pair", "matrix_to_json", "matrix_from_json",
 ]
 
 ENDPOINT_SNAP = 1e-12
@@ -141,20 +142,24 @@ def _each(rng, draw):
     return np.array([draw(g) for g in rng])
 
 
-def _unitary(z: np.ndarray) -> np.ndarray:
-    """The Haar unitary of normal planes z, (..., 2, n, n): QR of z[0] + i z[1], phase fixed."""
-    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (d / np.abs(d))[..., None, :]
-
-
-def haar_unitary(rng, n: int, ranked: bool = False):
-    """Haar-distributed unitary u via QR with the standard phase fix; ranked,
-    (r, u) with a rank r in 1..n-1 drawn first, in the same pass per stream."""
-    head = (lambda g: [g.integers(1, n)]) if ranked else (lambda g: [])
+def _haar(rng, n: int, head) -> tuple:
+    """(head's draws, u) per stream: head(g), then a Haar unitary u by QR, phase fixed."""
     d = _each(rng, lambda g: np.concatenate([head(g), g.standard_normal(2 * n * n)]))
-    u = _unitary(d[..., int(ranked):].reshape(d.shape[:-1] + (2, n, n)))
-    return (d[..., 0].astype(int), u) if ranked else u
+    z = d[..., -2 * n * n:].reshape(d.shape[:-1] + (2, n, n))
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    ph = np.diagonal(r, axis1=-2, axis2=-1)
+    return d[..., :-2 * n * n].copy(), q * (ph / np.abs(ph))[..., None, :]
+
+
+def haar_unitary(rng, n: int) -> np.ndarray:
+    """Haar-distributed unitary u."""
+    return _haar(rng, n, lambda g: [])[1]
+
+
+def isometry_draw(rng, n: int) -> tuple:
+    """(r, u) per stream, a rank r in 1..n-1, then a Haar unitary u: u[:, :r] is an isometry."""
+    r, u = _haar(rng, n, lambda g: [g.integers(1, n)])
+    return r[..., 0].astype(int), u
 
 
 def _spectrum_window(domain: Interval) -> tuple:
@@ -169,36 +174,42 @@ def _spectrum_window(domain: Interval) -> tuple:
     return lo, hi
 
 
+def hermitian_draw(rng, n: int) -> tuple:
+    """rand_hermitian's draw (x, u) per stream: n unit uniforms, then a Haar unitary."""
+    return _haar(rng, n, lambda g: g.random(n))
+
+
 def rand_hermitian(rng, n: int, domain: Interval) -> np.ndarray:
     """Random Hermitian matrix with spectrum drawn uniformly from a bounded
     window of the domain (open endpoints shrunk by 1e-6 relative)."""
     lo, hi = _spectrum_window(domain)
-    # per stream in one pass: the n eigenvalues, then the normals of haar_unitary
-    d = _each(rng, lambda g: np.concatenate([g.uniform(lo, hi, n), g.standard_normal(2 * n * n)]))
-    u = _unitary(d[..., n:].reshape(d.shape[:-1] + (2, n, n)))
-    return sym((u * d[..., None, :n]) @ _adj(u))
+    x, u = rng if isinstance(rng, tuple) else hermitian_draw(rng, n)
+    # lo + (hi - lo) x is bitwise g.uniform(lo, hi) of the same stream
+    return sym((u * (lo + (hi - lo) * x)[..., None, :]) @ _adj(u))
+
+
+def pair_draw(rng, n: int) -> tuple:
+    """rand_ordered_pair's draw (v, w) after h2 per stream: a unit vector, a unit uniform."""
+    def draw(g):
+        v = g.standard_normal(n) + 1j * g.standard_normal(n)
+        return np.append(v / np.linalg.norm(v), g.uniform(0.0, 1.0))
+
+    d = _each(rng, draw)
+    return d[..., :n].copy(), d[..., n].real.copy()
 
 
 def rand_ordered_pair(rng, n: int, domain: Interval, h2: np.ndarray = None) -> tuple:
     """(h1, h2) with h1 <= h2 and both spectra inside the domain.
 
-    h2 is rand_hermitian's draw, or the one given; h1 = h2 - w * vv* with the
-    rank-one weight w capped at lambda_min(h2) minus the window floor, which
-    keeps h1's spectrum inside by construction (no rejection loop needed).
+    h2 is rand_hermitian's draw, or the one given (pair_draw's parts need it);
+    h1 = h2 - w * vv*, the weight w capped at lambda_min(h2) minus the window
+    floor, which keeps h1's spectrum inside (no rejection loop needed).
     """
     lo, hi = _spectrum_window(domain)
     h2 = rand_hermitian(rng, n, domain) if h2 is None else h2
-    lam_min = np.linalg.eigvalsh(h2).min(-1)
-    head = np.maximum(lam_min - lo, 0.0)  # eigh roundoff can put lam_min a hair under lo
-
-    def draw(g):  # per stream in one pass: the unit vector v, then the weight's uniform
-        v = g.standard_normal(n) + 1j * g.standard_normal(n)
-        return np.append(v / np.linalg.norm(v), g.uniform(0.0, 1.0))
-
-    d = _each(rng, draw)
-    v, w = d[..., :n], d[..., n].real * head
-    h1 = sym(h2 - w[..., None, None] * (v[..., :, None] * v.conj()[..., None, :]))
-    return h1, h2
+    head = np.maximum(np.linalg.eigvalsh(h2).min(-1) - lo, 0.0)  # roundoff can put it below 0
+    v, w = rng if isinstance(rng, tuple) else pair_draw(rng, n)
+    return sym(h2 - (w * head)[..., None, None] * (v[..., :, None] * v.conj()[..., None, :])), h2
 
 
 # --- JSON ------------------------------------------------------------------------

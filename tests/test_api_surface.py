@@ -84,19 +84,26 @@ def bench():
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)
-def test_benchmark_tracer_self_check(bench, workload, tmp_path):
-    # what `perfbench/run.py --trace 1` checks, on one request: the request is
-    # correct, and every layer count the workload must exercise is nonzero
+def test_benchmark_tracer_self_check(bench, workload, tmp_path, monkeypatch):
+    # what `perfbench/run.py --trace 1` checks, on two runs of one request: the
+    # first on a cold draw cache, the second on the warm one, as the traced
+    # passes of a run are.  Each run is correct, both count alike, and every
+    # layer count the workload must exercise is nonzero in the second
     run, spans, workloads = bench
     item = run.set_up(workloads, workload, 1, str(tmp_path))[0]
     request = workloads.WORKLOADS[workload][1]
     ctx = types.SimpleNamespace(work_dir=str(tmp_path), in_process=True, first_bytes={})
-    tracer = spans.Tracer()
-    tracer.install()
-    try:
-        ok, _, extra = tracer.span("request", request, (item, ctx), {})
-    finally:
-        tracer.uninstall()
-    assert ok
+    monkeypatch.setattr(classify, "_DRAWS", classify._DrawCache())
+    snapshots = []
+    for _ in range(2):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            ok, _, extra = tracer.span("request", request, (item, ctx), {})
+        finally:
+            tracer.uninstall()
+        assert ok
+        snapshots.append(tracer.snapshot())
+    assert snapshots[0] == snapshots[1]
     _, counts = run.layer_metrics(tracer, 1, [extra], 1.0, 1.0, 0.0)
     assert [k for k in run.DOMINANT[workload] if not counts.get(k)] == []

@@ -409,12 +409,17 @@ def test_replay_rejects_unknown_check():
 
 # --- the chunked search reports what a one-trial-at-a-time loop reports ---------------
 
+def _first_uniforms(rngs, size):
+    """The search draw of the synthetic probes: each stream's first uniform."""
+    return np.array([g.uniform() for g in rngs]),
+
+
 def test_chunks_are_two_single_trials_then_the_cap():
     sizes = []
 
-    def probe(rngs, size, first):
-        sizes.append(len(rngs))
-        yield np.arange(len(rngs)), np.stack([np.eye(size)] * len(rngs)), 1.0, None
+    def probe(drawn, size, first):
+        sizes.append(len(drawn(_first_uniforms)[0]))
+        yield np.arange(sizes[-1]), np.stack([np.eye(size)] * sizes[-1]), 1.0, None
 
     assert _search("synthetic", CertifyConfig(), 300, (2,), probe).verdict == "pass"
     assert sizes == [1, 1, 128, 128, 42]
@@ -425,15 +430,15 @@ def _synthetic_probe(outcomes):
     maps a trial to "fail" (an eigenvalue -1), "nan" (a NaN entry) or "raise"
     (evaluating its stack raises).  A trial is known by the first draw of its
     stream (the synthetic searches run trials 0..7)."""
-    def probe(rngs, size, first):
-        draws = [g.uniform() for g in rngs]
+    def probe(drawn, size, first):
+        draws = drawn(_first_uniforms)[0].tolist()
         trials = {np.random.default_rng([0, t]).uniform(): t for t in range(8)}
         kinds = [outcomes.get(trials[d]) for d in draws]
         if "raise" in kinds:
             raise DomainError("synthetic")
         gaps = np.stack([np.diag([1.0, {"fail": -1.0, "nan": np.nan}.get(k, 1.0)])
                          for k in kinds])
-        yield (np.arange(len(rngs)), gaps, np.ones(len(rngs)),
+        yield (np.arange(len(draws)), gaps, np.ones(len(draws)),
                lambda i: {"check": "synthetic", "drawn": trials[draws[i]]})
     return probe
 

@@ -19,6 +19,7 @@ x86-64; another LAPACK build may round eigenvalues differently.
 import gc
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from loewner import (
     Quotient,
     SOCRep,
     check_convex,
+    check_halfplane,
+    check_loewner,
     check_monotone,
     check_strong,
     classify_all,
@@ -155,9 +158,10 @@ def test_a_later_trial_raises_the_same_error_on_any_chunk_schedule(monkeypatch):
 # convex and strong.  A chunk that raises after the memo was filled must still
 # raise what the check alone raises.  Monotone: sqrt above 19.6 raises first at
 # trial 9, in the size-2 stack of trials 2..59, after the size-4 stack of that
-# chunk (its largest first-draw eigenvalue 19.56) filled the memo.  Convex: x
-# on (0, 3) above 2.95 while check_convex runs raises first in the chunk of
-# trials 2..59, all of whose groups monotone, which x passes, put in the memo.
+# chunk (its largest eigenvalue 19.56, that of a first draw h2 >= h1) filled
+# the memo.  Convex: x on (0, 3) above 2.95 while check_convex runs raises
+# first in the chunk of trials 2..59, all of whose groups monotone, which x
+# passes, put in the memo.
 
 @pytest.mark.parametrize("fn, check, above", [
     (SQRT, "monotone", 19.6),
@@ -165,7 +169,7 @@ def test_a_later_trial_raises_the_same_error_on_any_chunk_schedule(monkeypatch):
 ], ids=["monotone", "convex"])
 def test_a_chunk_raising_after_the_memo_was_filled_raises_what_the_check_alone_raises(
         fn, check, above, monkeypatch):
-    val, alone, memo = Power._val, getattr(classify, f"check_{check}"), classify._Memo
+    val, alone = Power._val, getattr(classify, f"check_{check}")
     running, memos = [], []
 
     def raising(self, xs):
@@ -174,6 +178,7 @@ def test_a_chunk_raising_after_the_memo_was_filled_raises_what_the_check_alone_r
         return val(self, xs)
 
     def traced(fn, config, **kw):
+        memos.append(kw.get("memo"))
         running.append(check)
         try:
             return alone(fn, config, **kw)
@@ -182,13 +187,120 @@ def test_a_chunk_raising_after_the_memo_was_filled_raises_what_the_check_alone_r
 
     monkeypatch.setattr(Power, "_val", raising)
     monkeypatch.setattr(classify, f"check_{check}", traced)
-    monkeypatch.setattr(classify, "_Memo", lambda fn: memos.append(memo(fn)) or memos[-1])
     with pytest.raises(DomainError) as shared:
         classify_all(fn, QUICK)
-    assert any(len(group) > 2 for group in memos[0])    # a stack of trials is in the memo
+    # the first draw of a stack of trials is in the memo
+    assert any(len(group) > 2 and first for group, first in memos[0].items())
     with pytest.raises(DomainError) as single:
         traced(fn, QUICK)
     assert str(shared.value) == str(single.value)
+
+
+# --- the draw cache: each trial group's domain-free draws are drawn once per
+# process and kept in classify._DRAWS.  No result may depend on what it holds.
+
+@pytest.fixture
+def cold(monkeypatch):
+    """An empty draw cache for the test, and a function that empties it again."""
+    def empty():
+        monkeypatch.setattr(classify, "_DRAWS", classify._DrawCache())
+    empty()
+    return empty
+
+
+def _document(fn, config=QUICK) -> tuple:
+    """classify_all's JSON, and the replay of each witness read back from it."""
+    doc = classify_all(fn, config).to_json()
+    replays = {check: replay_witness(fn, Certificate.from_json(c)).hex()
+               for check, c in doc["certificates"].items() if "witness" in c}
+    return json.dumps(doc, sort_keys=True), replays
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_classify_all_is_the_same_on_a_cold_a_warm_and_no_draw_cache(name, cold, monkeypatch):
+    fn = FUNCTIONS[name]
+    digest, replays = PINNED[name]
+    runs = [_document(fn)]
+    seeded, rng = [], np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a: seeded.append(a) or rng(*a))
+    runs.append(_document(fn))
+    assert seeded == []             # the warm run seeds no stream
+    cold()
+    classify._DRAWS.budget = 0
+    runs.append(_document(fn))      # every fill is dropped at once
+    assert len(classify._DRAWS) == 0 and seeded
+    assert runs == [runs[0]] * 3
+    assert (hashlib.sha256(runs[0][0].encode()).hexdigest(), runs[0][1]) == (digest, replays)
+
+
+@pytest.mark.parametrize("name", ["measure_om", "pow_3_5"])
+@pytest.mark.parametrize("check", [check_monotone, check_convex, check_strong, check_loewner,
+                                   check_halfplane], ids=lambda c: c.__name__)
+def test_a_check_after_classify_all_of_other_inputs_equals_the_check_on_a_cold_cache(
+        check, name, cold):
+    fn = FUNCTIONS[name]
+    alone = check(fn, QUICK)
+    cold()
+    # sqrt on [0, inf): other seeds, other trial groups, then the same ones
+    for config in (replace(QUICK, seed=1), replace(QUICK, trials=30, dims=(3, 2)), QUICK):
+        classify_all(SQRT, config)
+    assert check(fn, QUICK) == alone
+
+
+def test_cached_draws_are_read_only(cold):
+    classify_all(SQRT, QUICK)
+    arrays = [a for draws in classify._DRAWS.values() for a in draws]
+    assert arrays and not any(a.flags.writeable for a in arrays)
+    for a in arrays[:5]:
+        with pytest.raises(ValueError, match="read-only"):
+            a.flat[0] = 0
+
+
+def test_a_large_dims_config_leaves_the_draw_cache_within_its_budget(cold, monkeypatch):
+    drawn, fill = {}, classify._DrawCache.drawn
+
+    def record(self, seed, size, trials, *draws):
+        out = fill(self, seed, size, trials, *draws)
+        drawn[(seed, size, *trials, draws)] = sum(a.nbytes for a in out)
+        return out
+
+    monkeypatch.setattr(classify._DrawCache, "drawn", record)
+    certs = classify_all(ID_POS, CertifyConfig(trials=130, dims=(20, 28))).certificates
+    assert certs["convex"].verdict == "pass"        # every convexity draw was made
+    held = [a.nbytes for draws in classify._DRAWS.values() for a in draws]
+    assert classify._DRAWS.nbytes == sum(held) <= classify._DRAWS.budget < sum(drawn.values())
+
+
+# Each function passes its check, but raises where it is evaluated on a matrix
+# spectrum (not on the scan grid) above 19.8: first at trial 28 (monotone and
+# strong) or 7 (convex), inside the chunk of trials 2..59.
+RAISING = {
+    "monotone": (SQRT, "synthetic at 19.849938492302822"),
+    "convex": (Power(1.0, Interval(0.0, 20.0)), "synthetic at 19.811934812143797"),
+    "strong": (Power(-1.0, Interval(0.5, 20.0)), "synthetic at 19.853689520186865"),
+}
+
+
+@pytest.mark.parametrize("check", sorted(RAISING))
+def test_a_raising_chunk_raises_the_same_on_a_warm_draw_cache(check, cold, monkeypatch):
+    (fn, message), val = RAISING[check], Power._val
+
+    def raising(self, xs):
+        if np.ndim(xs) > 1 and np.max(xs) > 19.8:
+            raise DomainError(f"synthetic at {float(np.max(xs))!r}")
+        return val(self, xs)
+
+    errors = []
+    for warm in (False, True):
+        if warm:    # unpatched, each passes its check, so every group is drawn
+            monkeypatch.setattr(Power, "_val", val)
+            for f, _ in RAISING.values():
+                classify_all(f, QUICK)
+        monkeypatch.setattr(Power, "_val", raising)
+        with pytest.raises(DomainError) as err:
+            getattr(classify, f"check_{check}")(fn, QUICK)
+        errors.append(str(err.value))
+    assert errors == [message] * 2
 
 
 # --- the default config: 300 trials, so every chunk boundary of the search is
@@ -281,8 +393,9 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
 # halfplane check a search of 64 Pick matrices (1,046 in chunks that doubled
 # up to 64 trials; 1,017 when the halfplane check was a grid with no
 # eigensolve; 1,185 when the second route was convexity of -1/f on the draws
-# of f's convexity search, 2,003 when that ran its own search in chunks of 32).
-CLASSIFY_MAX_EIGENSOLVES = 502
+# of f's convexity search, 2,003 when that ran its own search in chunks of 32;
+# 502 when monotone applied f to a trial group's h2 and its h1 in two calls).
+CLASSIFY_MAX_EIGENSOLVES = 481
 # Matrices those calls decompose (the sum of their stack sizes): 9,192 before
 # monotone, convex and strong shared each trial group's first draw, when convex
 # decomposed its h1 and strong its h again.

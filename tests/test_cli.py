@@ -12,12 +12,14 @@ import pytest
 
 import loewner
 from loewner import (
+    CertifyConfig,
     DiscreteMeasure,
     Interval,
     OCRep,
     OMRep,
     Power,
     SOCRep,
+    classify_all,
     rep_from_json,
     rep_to_json,
     to_json,
@@ -263,6 +265,28 @@ def test_pipeline_main_artifacts(tmp_path):
     assert lines[0] == "x,value,stage"
     assert len(lines) == 1 + 4 * 201
     assert {row.rsplit(",", 1)[1] for row in lines[1:]} == {"0", "1", "2", "3"}
+
+
+@pytest.mark.parametrize("argv, extra, files, written", [
+    (["pipeline", "--certify"], {"process": "main", "points": [1.0, 0.0]},
+     ("pipeline.json", "stages.csv"), b'"certificate"'),
+    (["classify"], {}, ("certificates.json", "values.csv"), b'"witness"'),
+], ids=["pipeline", "classify"])
+def test_cli_bytes_do_not_depend_on_the_draw_cache(tmp_path, argv, extra, files, written):
+    # in process after classify_all under another seed and then this config, so
+    # on a warm draw cache, and as a child process, so on a cold one
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": FAST, **extra})
+    for config in (CertifyConfig(40, (2, 3), seed=1), CertifyConfig(40, (2, 3))):
+        classify_all(SQUARE, config)
+    warm, cold, args = tmp_path / "warm", tmp_path / "cold", [*argv, "--spec", spec, "--out"]
+    assert main([*args, str(warm)]) == 0
+    src = str(pathlib.Path(loewner.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-m", "loewner.cli", *args, str(cold)],
+                         capture_output=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert written in (warm / files[0]).read_bytes()
+    for name in files:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes()
 
 
 def test_pipeline_backward_records_shifts(tmp_path):

@@ -16,13 +16,16 @@ from loewner import (
     rand_ordered_pair,
     schur_complement,
 )
-from loewner.errors import SingularBlock, SpectrumOutsideDomain
+from loewner.errors import EmptyDomain, SingularBlock, SpectrumOutsideDomain
 from loewner.matcalc import (
     complement_basis,
     haar_unitary,
+    hermitian_draw,
+    isometry_draw,
     matrix_from_json,
     matrix_to_json,
     min_eig_floor,
+    pair_draw,
     projection_basis,
     spectral_norm,
     sym,
@@ -205,13 +208,27 @@ def test_stacked_apply_sym_and_floor_equal_per_matrix_calls(n):
 
 SAMPLERS = {
     "haar_unitary": lambda rng, n: haar_unitary(rng, n),
-    # each rank scales its unitary, so that both must match
+    # a Haar unitary with a rank drawn first (isometry_draw); each rank scales
+    # its unitary, so that both must match
     "haar_unitary_ranked": lambda rng, n: (lambda r, u: u * np.asarray(r)[..., None, None])(
-        *haar_unitary(rng, n, ranked=True)),
+        *isometry_draw(rng, n)),
     "rand_hermitian": lambda rng, n: rand_hermitian(rng, n, STACK_DOMAIN),
     "rand_ordered_pair": lambda rng, n: np.stack(rand_ordered_pair(rng, n, STACK_DOMAIN),
                                                  axis=-3),
+    # the domain-free draws, each part scaling the other, and the samplers on them
+    "hermitian_draw": lambda rng, n: (lambda x, u: u * x[..., None, :])(*hermitian_draw(rng, n)),
+    "pair_draw": lambda rng, n: (lambda v, w: v * w[..., None])(*pair_draw(rng, n)),
+    "rand_hermitian_drawn": lambda rng, n: rand_hermitian(hermitian_draw(rng, n), n, STACK_DOMAIN),
+    "rand_ordered_pair_drawn": lambda rng, n: np.stack(_pair_from_draws(rng, n, STACK_DOMAIN),
+                                                       axis=-3),
 }
+
+
+def _pair_from_draws(rng, n, dom):
+    """rand_ordered_pair as a check runs it: its h2 mapped from hermitian_draw,
+    then its step down mapped from pair_draw."""
+    h2 = rand_hermitian(hermitian_draw(rng, n), n, dom)
+    return rand_ordered_pair(pair_draw(rng, n), n, dom, h2)
 
 
 @pytest.mark.parametrize("name", sorted(SAMPLERS))
@@ -223,3 +240,36 @@ def test_samplers_over_generators_stack_the_single_draws(name, n):
     assert np.array_equal(sample(stacked, n), expected)
     # each stream is left where drawing alone leaves it
     assert [g.uniform() for g in stacked] == [g.uniform() for g in singles]
+
+
+# --- drawn parts: a sampler maps what its *_draw drew exactly as it maps a generator
+
+DRAW_DOMAINS = {
+    "open": Interval(0.1, 10.0),
+    "half-open": Interval(-2.0, 3.0, lo_closed=True),
+    "long": Interval(-40.0, 25.0, True, True),         # sampled on a window of length 20
+    "half-line": Interval(0.0, np.inf),
+    "thin": Interval(1.0, 1.0 + 1e-7),                # nothing left once open ends shrink
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_DOMAINS))
+@pytest.mark.parametrize("n", (2, 5, 8))
+@pytest.mark.parametrize("streams", [lambda n: np.random.default_rng(n), _streams],
+                         ids=["generator", "stack"])
+def test_samplers_on_drawn_parts_equal_samplers_on_generators(name, n, streams):
+    dom = DRAW_DOMAINS[name]
+    if name == "thin":
+        for sample in (lambda g: rand_hermitian(g, n, dom), lambda g: rand_ordered_pair(g, n, dom),
+                       lambda g: rand_hermitian(hermitian_draw(g, n), n, dom),
+                       lambda g: _pair_from_draws(g, n, dom)):
+            with pytest.raises(EmptyDomain):
+                sample(streams(n))
+        return
+    h = rand_hermitian(streams(n), n, dom)
+    assert np.array_equal(rand_hermitian(hermitian_draw(streams(n), n), n, dom), h)
+    pair = rand_ordered_pair(streams(n), n, dom)
+    assert all(map(np.array_equal, _pair_from_draws(streams(n), n, dom), pair))
+    eig = np.linalg.eigvalsh(np.stack(pair))
+    window = dom.clip(20.0)
+    assert window.lo <= eig.min() and eig.max() <= window.hi
