@@ -270,7 +270,7 @@ def _corner_parts(fn, check, gap, ranks, u, n, h, fh):
     """One part per rank drawn, for the isometries V = u[:, :rank]: gap(f,
     f(h), V, spectrum of V*hV) for the trials of that rank, given fh = f(h),
     with witness fields h1 = h and the projection p = VV*."""
-    for r in np.unique(ranks):
+    for r in np.flatnonzero(np.bincount(ranks)):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
         corner = spectrum(compress(h[owner], v), fn.domain)
@@ -443,27 +443,29 @@ def replay_witness(fn, cert: Certificate) -> float:
 
     Returns the recomputed minimum eigenvalue; callers compare it against
     witness["min_eig"].  A witness with "x0" is one of (x - x0) f(x), the
-    second route of strong convexity.
+    second route of strong convexity.  A NaN or inf in the witness raises NonFiniteValue.
     """
     w = cert.witness
     if not w:
         raise ValueError("certificate carries no witness")
-    if "x0" in w:
-        fn = MulLinear(fn, json_number(w["x0"]))
     kind = w.get("check")
-    if kind == "pick":
-        gap, _ = _pick_gap(fn, np.array([complex(*json_numbers(z)) for z in w["nodes"]]))
-    elif kind == "loewner":
-        gap = loewner_matrix(fn, json_numbers(w["nodes"]))
-    elif kind == "monotone":
-        h1, h2 = matrix_from_json(w["h1"]), matrix_from_json(w["h2"])
-        gap, _ = _monotone_gap(*apply_fn(fn, np.stack([h1, h2])))
-    elif kind == "jensen":
-        h1, h2, t = matrix_from_json(w["h1"]), matrix_from_json(w["h2"]), json_number(w["t"])
-        gap, _ = _jensen_gap(fn, apply_fn(fn, h1), apply_fn(fn, h2), t,
-                             _mix(h1, h2, t, fn.domain))
+    nodes = (json_numbers if kind == "loewner"
+             else lambda zs: np.array([complex(*json_numbers(z)) for z in zs]))
+    read = {"x0": json_number, "t": json_number, "min_eig": json_number, "nodes": nodes,
+            "h1": matrix_from_json, "h2": matrix_from_json, "p": matrix_from_json}
+    x = {k: read[k](w[k]) for k in read if k in w}
+    bad = [k for k in x if not np.isfinite(x[k]).all()]
+    if bad:
+        raise NonFiniteValue(f"witness {bad[0]!r} has a non-finite entry")
+    fn = MulLinear(fn, x["x0"]) if "x0" in x else fn
+    if kind in ("pick", "loewner"):
+        gap = _pick_gap(fn, x["nodes"])[0] if kind == "pick" else loewner_matrix(fn, x["nodes"])
+    elif kind in ("monotone", "jensen"):
+        f1, f2 = apply_fn(fn, np.stack([x["h1"], x["h2"]]))
+        gap, _ = (_monotone_gap(f1, f2) if kind == "monotone"
+                  else _jensen_gap(fn, f1, f2, x["t"], _mix(x["h1"], x["h2"], x["t"], fn.domain)))
     elif kind in ("davis", "strong"):
-        h, v = matrix_from_json(w["h1"]), projection_basis(matrix_from_json(w["p"]))
+        h, v = x["h1"], projection_basis(x["p"])
         gap, _ = (_davis_gap if kind == "davis" else _strong_gap)(
             fn, apply_fn(fn, h), v, spectrum(compress(h, v), fn.domain))
     else:

@@ -69,7 +69,7 @@ def spectrum(h: np.ndarray, dom: Interval) -> tuple:
 def apply_spectrum(fn, eig: tuple) -> np.ndarray:
     """f(h) from eig = spectrum(h, dom) on a dom that f shares."""
     w, v = eig
-    vals = np.asarray(fn.eval_real(w), dtype=float)
+    vals = np.asarray(fn._val(w), dtype=float)  # spectrum has checked and clipped w
     return sym((v * vals[..., None, :]) @ _adj(v))
 
 
@@ -81,11 +81,11 @@ def apply_fn(fn, h: np.ndarray) -> np.ndarray:
 # --- projections and blocks -----------------------------------------------------
 
 def projection_basis(p: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning range(p) for an orthogonal projection p."""
-    p = sym(p)
-    if spectral_norm(p @ p - p) > 1e-8 * (1.0 + spectral_norm(p)):
+    """Orthonormal columns spanning range(p) for an orthogonal projection p.  For
+    Hermitian p, ||p^2 - p|| = max |w^2 - w| and ||p|| = max |w| over its eigenvalues w."""
+    w, v = np.linalg.eigh(sym(p))
+    if not np.max(np.abs(w * w - w)) <= 1e-8 * (1.0 + np.max(np.abs(w))):
         raise ValueError("matrix is not an orthogonal projection")
-    w, v = np.linalg.eigh(p)
     cols = v[:, w > 0.5]
     if cols.shape[1] == 0:
         raise ValueError("zero projection has no range basis")
@@ -217,7 +217,7 @@ def rand_ordered_pair(rng, n: int, domain: Interval, h2: np.ndarray = None) -> t
 def matrix_to_json(m: np.ndarray) -> list:
     """Row-major nested lists of [re, im] pairs."""
     m = np.asarray(m, dtype=complex)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    return np.stack([m.real, m.imag], axis=-1).tolist()
 
 
 def matrix_from_json(rows: list) -> np.ndarray:

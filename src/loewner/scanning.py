@@ -35,14 +35,11 @@ def scan_grid(domain: Interval, n: int = SCAN_POINTS, window: float = SCAN_WINDO
     eps = 1e-9 * (width + abs(lo) + abs(hi))
     a = lo if w.lo_closed else lo + eps
     b = hi if w.hi_closed else hi - eps
-    pts = list(np.linspace(a, b, n))
-    for step in _APPROACH_STEPS:
-        if not w.lo_closed:
-            pts.append(lo + step * width)
-        if not w.hi_closed:
-            pts.append(hi - step * width)
-    arr = np.unique(np.asarray(pts, dtype=float))
-    return arr[(arr >= lo) & (arr <= hi)]
+    near = np.array([lo, hi]) + np.multiply.outer(_APPROACH_STEPS, [width, -width])
+    opened = near[:, [not w.lo_closed, not w.hi_closed]].ravel()
+    pts = np.sort(np.concatenate([np.linspace(a, b, n), opened]), kind="stable")
+    # a stable sort keeps the first of 0.0 and -0.0, as np.unique does
+    return pts[np.r_[True, pts[1:] != pts[:-1]] & (pts >= lo) & (pts <= hi)]
 
 
 def endpoint_limit(fn, domain: Interval, endpoint: float) -> float:

@@ -99,7 +99,8 @@ def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,
     the composite strongly operator convex.  Mode "convex" only needs 0 to
     lie in the domain or be its left endpoint (outer may even diverge
     there) and claims plain operator convexity.  Violations raise
-    HypothesisViolated naming the failed clause.
+    HypothesisViolated naming the failed clause.  Both outer(0) >= 0 and the
+    range (as Compose tests it) are exact, so scaling outer moves no clause.
     """
     if mode not in ("strong", "convex"):
         raise ValueError(f"mode must be 'strong' or 'convex', got {mode!r}")
@@ -122,7 +123,7 @@ def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,
             raise HypothesisViolated("outer-domain", str(err)) from err
         except NoFiniteLimit as err:
             raise HypothesisViolated("outer-value-at-zero", str(err)) from err
-        if at_zero < -1e-12:
+        if at_zero < 0.0:
             raise HypothesisViolated("outer-value-at-zero",
                                      f"outer(0) = {at_zero} < 0")
     elif not (odom.contains(0.0) or odom.lo == 0.0):
@@ -130,7 +131,7 @@ def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,
                                  f"0 neither in {odom} nor its left endpoint")
 
     vals = np.asarray(inner.eval_real(scan_grid(inner.domain)), dtype=float)
-    ok = odom.mask(vals, snap=1e-12)
+    ok = odom.mask(vals)
     if not np.all(ok):
         raise HypothesisViolated("range", f"inner value {vals[~ok][0]} escapes {odom}")
 

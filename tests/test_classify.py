@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -405,6 +406,65 @@ def test_replay_rejects_unknown_check():
                        {"check": "telepathy", "min_eig": -1.0})
     with pytest.raises(ValueError):
         replay_witness(ID_POS, cert)
+
+
+EYE2 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+P1 = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+
+
+def _with(m, entry):
+    """The JSON matrix m with its [0][1] entry replaced."""
+    return [[entry if (i, j) == (0, 1) else e for j, e in enumerate(row)]
+            for i, row in enumerate(m)]
+
+
+# one witness per kind, each with a NaN or inf where a number belongs.  Unless
+# the replay rejects them before it decomposes anything, the Pick ones replay
+# to nan and the others raise errors that misname the fault ("eigenvalue nan
+# outside domain", or numpy's LinAlgError, which is not a LoewnerError)
+@pytest.mark.parametrize("witness", [
+    {"check": "monotone", "h1": _with(EYE2, [math.nan, 0.0]), "h2": EYE2},
+    {"check": "jensen", "h1": _with(EYE2, [math.nan, 0.0]), "h2": EYE2, "t": 0.5},
+    {"check": "jensen", "h1": EYE2, "h2": EYE2, "t": math.inf},
+    {"check": "davis", "h1": EYE2, "p": _with(P1, [0.0, math.nan])},
+    {"check": "strong", "h1": _with(EYE2, [math.inf, 0.0]), "p": P1},
+    {"check": "loewner", "nodes": [0.5, math.nan]},
+    {"check": "loewner", "nodes": [0.5, 2.0], "x0": math.nan},
+    {"check": "loewner", "nodes": [0.5, 2.0], "min_eig": math.inf},
+    {"check": "pick", "nodes": [[0.5, 1.0], [0.0, math.nan]]},
+    {"check": "pick", "nodes": [[math.inf, 1.0]]},
+], ids=["monotone", "jensen", "jensen-t", "davis", "strong", "loewner", "x0", "min-eig",
+        "pick-nan-imag", "pick-inf"])
+def test_replay_rejects_a_non_finite_witness_number(witness):
+    cert = Certificate("p", "fail", 1, 1e-9, 0, {"min_eig": -1.0, **witness})
+    with pytest.raises(NonFiniteValue, match="non-finite"):
+        replay_witness(SQUARE, cert)
+
+
+# Eigendecompositions per replay of each witness kind: one for f of the stored
+# matrices (h1 and h2 as one stack), one for the Jensen mix or the compression
+# corner, one for the projection's basis, which also tests that p is one, and
+# one for the floor test (6 for a compression witness and 4 for a Jensen one
+# when the projection test took two more and f(h1), f(h2) one each).
+REPLAY_EIGENSOLVES = {"monotone": 2, "jensen": 3, "davis": 4, "strong": 4, "loewner": 1,
+                      "pick": 1}
+
+
+def test_replay_eigensolves_per_witness_kind_stay_within_budget(monkeypatch):
+    certs = {c.witness["check"]: c for c in classify_all(CUBE, QUICK).certificates.values()}
+    strong = certs["strong"]    # a davis witness has the same fields
+    certs["davis"] = replace(strong, witness={**strong.witness, "check": "davis"})
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, solve=solve, **kw: calls.append(1) or solve(*a, **kw))
+    got = {}
+    for kind, cert in certs.items():
+        calls.clear()
+        replay_witness(CUBE, cert)
+        got[kind] = len(calls)
+    assert got == REPLAY_EIGENSOLVES
 
 
 # --- the chunked search reports what a one-trial-at-a-time loop reports ---------------

@@ -611,3 +611,31 @@ def test_malformed_report_certificate_is_eval_error(tmp_path, capsys, result):
     assert main(["report", "--spec", spec, "--out", str(out), "--replay"]) == 3
     assert capsys.readouterr().err.startswith("loewner: ")
     assert not (out / "report.json").exists()
+
+
+def test_report_of_a_pick_node_with_a_nan_imaginary_part_exits_3(tmp_path, capsys):
+    # NaN passes the half-plane test im > 0 as it fails every comparison; the
+    # replay would be nan, and report.json would hold "replayed": NaN
+    witness = {"check": "pick", "nodes": [[-1.0, float("nan")]], "min_eig": -1.0}
+    result = {"certificates": {"halfplane": {**MONO, "property": "halfplane",
+                                             "witness": witness}}}
+    spec = write_spec(tmp_path, {"function": to_json(SQUARE), "result": result})
+    out = tmp_path / "o"
+    assert main(["report", "--spec", spec, "--out", str(out), "--replay"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "loewner: NonFiniteValue: witness 'nodes' has a non-finite entry"]
+    assert not (out / "report.json").exists()
+
+
+def test_classify_and_a_certified_pipeline_do_not_import_numpy_ma(tmp_path):
+    # np.unique and np.ma import numpy.ma, about 10 ms and 1 MB of each CLI run
+    spec = write_spec(tmp_path, {"function": to_json(SQRT), "config": FAST,
+                                 "process": "main", "points": [1.0, 0.0]})
+    runs = [[command, "--spec", spec, "--out", str(tmp_path / command), *flags]
+            for command, flags in (("classify", []), ("pipeline", ["--certify"]))]
+    src = str(pathlib.Path(loewner.__file__).resolve().parent.parent)
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom loewner.cli import main\n"
+         f"print([main(argv) for argv in {runs!r}], 'numpy.ma' in sys.modules)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert (run.stdout, run.stderr) == ("[0, 0] False\n", "")

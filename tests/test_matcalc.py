@@ -89,6 +89,33 @@ def test_projection_basis_rejects_non_projection():
         projection_basis(np.diag([0.5, 1.0]).astype(complex))
 
 
+def _two_norm_projection_basis(p):
+    """The reference: p tested by the spectral norms of p^2 - p and p, then its basis."""
+    p = sym(p)
+    if spectral_norm(p @ p - p) > 1e-8 * (1.0 + spectral_norm(p)):
+        raise ValueError("matrix is not an orthogonal projection")
+    w, v = np.linalg.eigh(p)
+    return v[:, w > 0.5]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_projection_basis_returns_the_basis_bits_of_the_two_norm_test(n):
+    for rank in range(1, n):
+        cols = haar_unitary(np.random.default_rng([n, rank]), n)[:, :rank]
+        p = cols @ cols.conj().T    # as a compression witness stores it, not symmetrized
+        assert projection_basis(p).tobytes() == _two_norm_projection_basis(p).tobytes()
+
+
+@pytest.mark.parametrize("p", [
+    (1.0 + 1e-6) * np.outer([0.6, 0.8j], [0.6, -0.8j]),   # rank 1, scaled off 1
+    np.array([[0.5, 0.5], [0.5, 0.0]], dtype=complex),    # Hermitian, not idempotent
+    np.zeros((3, 3), dtype=complex),                      # a projection with no range
+], ids=["scaled-rank-1", "not-idempotent", "zero"])
+def test_projection_basis_rejects_what_has_no_basis(p):
+    with pytest.raises(ValueError, match="projection"):
+        projection_basis(p)
+
+
 def test_complement_basis_completes_the_frame():
     v = haar_unitary(np.random.default_rng(6), 5)[:, :2]
     w = complement_basis(v)
@@ -156,6 +183,14 @@ def test_matrix_json_round_trip():
     rng = np.random.default_rng(17)
     m = rand_hermitian(rng, 4, Interval(-1.0, 1.0, True, True))
     assert np.array_equal(matrix_from_json(matrix_to_json(m)), m)
+
+
+def test_matrix_to_json_equals_the_entrywise_lists():
+    m = rand_hermitian(np.random.default_rng(18), 5, Interval(-1.0, 1.0, True, True))
+    m[0, 1], m[1, 0] = complex(-0.0, 1e-300), complex(5e-324, -0.0)
+    old = [[[float(e.real), float(e.imag)] for e in row] for row in m]
+    got = matrix_to_json(m)
+    assert got == old and np.array(got).tobytes() == np.array(old).tobytes()
 
 
 @settings(derandomize=True, max_examples=25)

@@ -12,7 +12,9 @@ from loewner.errors import (
     ZeroFunction,
 )
 from loewner.scanning import (
+    _APPROACH_STEPS,
     SCAN_POINTS,
+    SCAN_WINDOW,
     check_bounded,
     check_negative,
     check_positive,
@@ -33,6 +35,37 @@ def test_scan_grid_stays_inside_open_interval():
 def test_scan_grid_clips_unbounded_domains():
     xs = scan_grid(Interval(0.0, np.inf, lo_closed=True))
     assert xs[-1] <= 1e6
+
+
+def _list_scan_grid(domain, n, window):
+    """scan_grid as a Python list of points through np.unique: the reference."""
+    w = domain.clip(window)
+    lo, hi = w.lo, w.hi
+    width = hi - lo
+    eps = 1e-9 * (width + abs(lo) + abs(hi))
+    pts = list(np.linspace(lo if w.lo_closed else lo + eps, hi if w.hi_closed else hi - eps, n))
+    for step in _APPROACH_STEPS:
+        if not w.lo_closed:
+            pts.append(lo + step * width)
+        if not w.hi_closed:
+            pts.append(hi - step * width)
+    arr = np.unique(np.asarray(pts, dtype=float))
+    return arr[(arr >= lo) & (arr <= hi)]
+
+
+@pytest.mark.parametrize("lo, hi", [
+    (0.0, 1.0), (-3.0, 7.5), (-0.0, 1.0), (-1.0, -0.0), (-0.01, 0.99),   # 0.0 on the grid
+    (0.0, np.inf), (-np.inf, -0.0), (-np.inf, np.inf),                     # half-lines, the line
+    (0.0, 3e6), (-5e6, 5e6), (1e-3, 9e5),                                  # wider than the window
+    (1.0, 1.0 + 1e-12), (0.0, 1e-300), (1e10, 1e10 + 1e-5), (-1e-300, 1e-300),  # very thin
+])
+def test_scan_grid_equals_the_list_and_unique_grid_bit_for_bit(lo, hi):
+    for lo_closed in (False, True)[:1 + np.isfinite(lo)]:
+        for hi_closed in (False, True)[:1 + np.isfinite(hi)]:
+            dom = Interval(lo, hi, lo_closed, hi_closed)
+            for n, window in ((SCAN_POINTS, SCAN_WINDOW), (4 * SCAN_POINTS - 3, 4 * SCAN_WINDOW)):
+                want = _list_scan_grid(dom, n, window)
+                assert scan_grid(dom, n, window).tobytes() == want.tobytes()
 
 
 def test_endpoint_limit_sqrt_at_zero():

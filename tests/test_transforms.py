@@ -124,6 +124,20 @@ def test_compose_rejects_negative_value_at_zero():
     assert exc.value.clause == "outer-value-at-zero"
 
 
+@pytest.mark.parametrize("c", [1e-6, 1.0, 1e6])
+def test_compose_clauses_do_not_move_when_outer_or_inner_is_scaled(c):
+    # outer(0) = -1e-13 c, and an inner value -1e-13 c below outer's closed
+    # endpoint 0: an absolute slack of 1e-12 passed both at c <= 1 only, and
+    # Compose itself rejects the inner value when it evaluates
+    with pytest.raises(HypothesisViolated) as exc:
+        compose_checked(Affine(c, -1e-13 * c), RECIP, "strong", QUICK)
+    assert exc.value.clause == "outer-value-at-zero"
+    inner = Affine(c, -1e-13 * c, Interval(0.0, 1.0, lo_closed=True, hi_closed=True))
+    with pytest.raises(HypothesisViolated) as exc:
+        compose_checked(Power(0.5), inner, "convex", QUICK)
+    assert exc.value.clause == "range"
+
+
 def test_compose_divergence_at_zero_blocks_strong_but_not_convex():
     # 1 - 1/x: monotone on (0, inf) with a pole at 0
     rep = OMRep(a=0.0, b=0.0, x0=1.0,
