@@ -34,7 +34,6 @@ from .errors import DuplicateNodes, LoewnerError, NonFiniteValue
 from .funexpr import MulLinear
 from .interval import json_number, json_numbers
 from .matcalc import (
-    CLIP_LEN,
     apply_fn,
     apply_spectrum,
     compress,
@@ -49,6 +48,7 @@ from .matcalc import (
     psd_min_eig,
     rand_hermitian,
     rand_ordered_pair,
+    sample_window,
     spectrum,
 )
 from .scanning import is_zero_on_grid
@@ -324,7 +324,7 @@ def check_strong(fn, config: CertifyConfig = CertifyConfig(), *, memo=None) -> C
     direct = _search(prop, config, config.trials, config.dims, probe, memo)
     if direct.verdict == "fail":
         return direct
-    win = fn.domain.clip(CLIP_LEN)
+    win = sample_window(fn.domain)
     x0 = 0.5 * (win.lo + win.hi)
     iff = check_loewner(MulLinear(fn, x0), config)
     if iff.verdict == "pass":
@@ -367,7 +367,7 @@ def _unit_nodes(rngs, size: int) -> tuple:
 
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
-    win = fn.domain.clip(CLIP_LEN)
+    win = sample_window(fn.domain)
     lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
     def probe(drawn, size, _):
@@ -395,7 +395,7 @@ def check_halfplane(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     r log-uniform in [1e-3, 10], theta in (0, pi]: every Pick matrix must be
     PSD, as it is for a Pick function, the holomorphic extension of a monotone
     one (Loewner; Pick)."""
-    win = fn.domain.clip(CLIP_LEN)
+    win = sample_window(fn.domain)
     mid, half = 0.5 * (win.lo + win.hi), 0.5 * (win.hi - win.lo)
 
     def probe(drawn, size, _):

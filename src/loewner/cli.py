@@ -27,7 +27,7 @@ from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
 from .interval import json_flag, json_number, json_numbers, json_object
-from .matcalc import CLIP_LEN
+from .matcalc import sample_window
 
 __all__ = ["main"]
 
@@ -78,15 +78,21 @@ def _fmt(x: float) -> str:
 
 
 def _write_csv(out_dir: str, name: str, header, rows):
-    lines = [",".join(header)]
-    lines += [",".join(r) for r in rows]
+    lines = [",".join(r) for r in (header, *rows)]
     _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
 
 
 def _sample_grid(domain) -> np.ndarray:
-    win = domain.clip(CLIP_LEN)
+    win = sample_window(domain)
     width = win.hi - win.lo
     return np.linspace(win.lo + 0.01 * width, win.hi - 0.01 * width, GRID_POINTS)
+
+
+def _value_rows(fn, *tail) -> list:
+    """CSV rows (x, f(x), *tail) over the sample grid of fn's domain."""
+    xs = _sample_grid(fn.domain)
+    vals = np.asarray(fn.eval_real(xs), dtype=float)
+    return [(_fmt(x), _fmt(v), *tail) for x, v in zip(xs, vals)]
 
 
 # --- spec parsing ------------------------------------------------------------------
@@ -163,8 +169,7 @@ def _config_from(spec: dict, args) -> _classify.CertifyConfig:
 
 # --- subcommands ----------------------------------------------------------------------
 
-def _cmd_classify(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_classify(spec: dict, args) -> int:
     fn = _function_from(spec)
     config = _config_from(spec, args)
     result = _classify.classify_all(fn, config)
@@ -174,15 +179,11 @@ def _cmd_classify(args) -> int:
         "function": funexpr.to_json(fn),
         "result": result.to_json(),
     })
-    xs = _sample_grid(fn.domain)
-    vals = np.asarray(fn.eval_real(xs), dtype=float)
-    _write_csv(args.out, "values.csv", ("x", "value"),
-               [(_fmt(x), _fmt(v)) for x, v in zip(xs, vals)])
+    _write_csv(args.out, "values.csv", ("x", "value"), _value_rows(fn))
     return 0
 
 
-def _cmd_pipeline(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_pipeline(spec: dict, args) -> int:
     fn = _function_from(spec)
     config = _config_from(spec, args)
     process = spec.get("process", "main")
@@ -208,12 +209,7 @@ def _cmd_pipeline(args) -> int:
         "config": {"seed": config.seed, "trials": config.trials},
         "run": run.to_json(),
     })
-    rows = []
-    for stage in run.stages:
-        xs = _sample_grid(stage.expr.domain)
-        vals = np.asarray(stage.expr.eval_real(xs), dtype=float)
-        rows += [(_fmt(x), _fmt(v), str(stage.index))
-                 for x, v in zip(xs, vals)]
+    rows = [r for stage in run.stages for r in _value_rows(stage.expr, str(stage.index))]
     _write_csv(args.out, "stages.csv", ("x", "value", "stage"), rows)
     return 0
 
@@ -222,11 +218,11 @@ def _cmd_pipeline(args) -> int:
 _OP_KINDS = {"om_to_soc": "om", "extend": "soc", "substitute_square": "oc"}
 
 
-def _cmd_measure(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_measure(spec: dict, args) -> int:
     kind = spec.get("kind")
-    if kind not in ("om", "oc", "soc"):
-        raise _CliFailure(EVAL_ERROR, f"measure kind must be om/oc/soc, got {kind!r}")
+    if not isinstance(kind, str) or kind not in measures.REP_KINDS:
+        raise _CliFailure(EVAL_ERROR, f"measure kind must be "
+                                      f"{'/'.join(measures.REP_KINDS)}, got {kind!r}")
     rep = _value(spec, "measure", lambda m: measures.rep_from_json(m, kind), True)
 
     transform = _value(spec, "transform", json_object)
@@ -269,10 +265,7 @@ def _cmd_measure(args) -> int:
     out["transform"] = transform
     _write_json(args.out, "measure.json", out)
 
-    xs = _sample_grid(out_rep.interval)
-    vals = np.asarray(out_rep(xs), dtype=float)
-    _write_csv(args.out, "values.csv", ("x", "value"),
-               [(_fmt(x), _fmt(v)) for x, v in zip(xs, vals)])
+    _write_csv(args.out, "values.csv", ("x", "value"), _value_rows(funexpr.MeasureForm(out_rep)))
     return 0
 
 
@@ -290,8 +283,7 @@ def _report_entry(fn, cert_json, replay: bool) -> dict:
     return entry
 
 
-def _cmd_report(args) -> int:
-    spec = _load_spec(args.spec)
+def _cmd_report(spec: dict, args) -> int:
     fn = _function_from(spec)
     result = spec.get("result")
     if not isinstance(result, dict) or not isinstance(result.get("certificates"), dict):
@@ -341,7 +333,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         with np.errstate(all="ignore"):  # non-finite values raise by value, never by warning
-            return args.handler(args)
+            return args.handler(_load_spec(args.spec), args)
     except _CliFailure as err:
         print(f"loewner: {err}", file=sys.stderr)
         return err.code

@@ -32,7 +32,7 @@ from .errors import (
     UnsupportedNode,
 )
 from .interval import REAL_LINE, Interval, json_flag, json_number, json_numbers, json_object
-from .measures import form_sum, rep_from_json, rep_to_json
+from .measures import REP_KINDS, form_sum, rep_from_json, rep_to_json
 from .scanning import closure_value, scan_grid
 
 __all__ = [
@@ -113,6 +113,14 @@ class FunctionExpr:
 
 # --- leaves --------------------------------------------------------------------
 
+def _within_natural(node, natural: Interval, *also: Interval):
+    """Default node.domain to ``natural``; a given one must lie within it or an ``also``."""
+    if node.domain is None:
+        object.__setattr__(node, "domain", natural)
+    elif not any(iv.contains_interval(node.domain) for iv in (natural, *also)):
+        raise DomainError(f"domain {node.domain} not within natural domain {natural}")
+
+
 @dataclass(frozen=True)
 class Constant(FunctionExpr):
     c: float
@@ -125,8 +133,7 @@ class Constant(FunctionExpr):
     def _val(self, xs):
         return np.full_like(xs, self.c)
 
-    def _cval(self, zs):
-        return np.full_like(zs, self.c, dtype=complex)
+    _cval = _val  # the same formula on complex points
 
     def _dval(self, xs):
         return np.zeros_like(xs)
@@ -146,8 +153,7 @@ class Affine(FunctionExpr):
     def _val(self, xs):
         return self.a * xs + self.b
 
-    def _cval(self, zs):
-        return self.a * zs + self.b
+    _cval = _val  # the same formula on complex points
 
     def _dval(self, xs):
         return np.full_like(xs, self.a)
@@ -170,19 +176,10 @@ class Power(FunctionExpr):
     def __post_init__(self):
         alpha = float(self.alpha)
         object.__setattr__(self, "alpha", alpha)
-        if alpha >= 0 and alpha.is_integer():
-            natural = REAL_LINE
-        elif alpha < 0:
-            natural = Interval(0.0, math.inf)
-        else:
-            natural = Interval(0.0, math.inf, lo_closed=True)
-        if self.domain is None:
-            object.__setattr__(self, "domain", natural)
-        elif not (natural.contains_interval(self.domain)
-                  or (alpha < 0 and alpha.is_integer()
-                      and Interval(-math.inf, 0.0).contains_interval(self.domain))):
-            raise DomainError(
-                f"domain {self.domain} not within natural domain {natural}")
+        natural = (REAL_LINE if alpha >= 0 and alpha.is_integer()
+                   else Interval(0.0, math.inf, lo_closed=not alpha < 0))
+        left = (Interval(-math.inf, 0.0),) if alpha < 0 and alpha.is_integer() else ()
+        _within_natural(self, natural, *left)
 
     def _val(self, xs):
         return np.power(xs, self.alpha)
@@ -212,8 +209,7 @@ class Reciprocal(FunctionExpr):
     def _val(self, xs):
         return 1.0 / xs
 
-    def _cval(self, zs):
-        return 1.0 / zs
+    _cval = _val  # the same formula on complex points
 
     def _dval(self, xs):
         return -1.0 / xs**2
@@ -271,12 +267,7 @@ class Catalog(FunctionExpr):
         entry = CATALOG[self.name]
         if entry.validate is not None:
             entry.validate(dict(params))
-        natural = entry.domain
-        if self.domain is None:
-            object.__setattr__(self, "domain", natural)
-        elif not natural.contains_interval(self.domain):
-            raise DomainError(
-                f"domain {self.domain} not within natural domain {natural}")
+        _within_natural(self, entry.domain)
 
     @property
     def _p(self) -> dict:
@@ -363,8 +354,7 @@ class MeasureForm(FunctionExpr):
     def _val(self, xs):
         return np.asarray(form_sum(self.rep, xs))
 
-    def _cval(self, zs):
-        return np.asarray(form_sum(self.rep, zs))
+    _cval = _val  # the same formula on complex points
 
     def _dval(self, xs):
         return np.asarray(form_sum(self.rep, xs, deriv=True))
@@ -547,8 +537,8 @@ def from_json(d: dict) -> FunctionExpr:
     if not isinstance(d, dict) or "kind" not in d:
         raise ValueError("function JSON must be an object with a 'kind' key")
     kind = d["kind"]
-    if kind in ("measure_om", "measure_oc", "measure_soc"):
-        return MeasureForm(rep_from_json(d, kind[len("measure_"):]))
+    if kind in {"measure_" + k for k in REP_KINDS}:
+        return MeasureForm(rep_from_json(d, kind.removeprefix("measure_")))
     if kind not in _KINDS:
         raise UnsupportedNode(f"unknown function kind {kind!r}")
     cls = _KINDS[kind]

@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import EmptyDomain, SingularBlock, SpectrumOutsideDomain
+from .errors import EmptyDomain, NonFiniteValue, SingularBlock, SpectrumOutsideDomain
 from .interval import Interval
 
 __all__ = [
     "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
-    "spectral_norm", "projection_basis", "complement_basis", "compress", "embed",
+    "sample_window", "projection_basis", "complement_basis", "compress", "embed",
     "schur_complement", "isometry_draw", "haar_unitary", "hermitian_draw", "rand_hermitian",
     "pair_draw", "rand_ordered_pair", "matrix_to_json", "matrix_from_json",
 ]
@@ -37,13 +37,16 @@ def sym(m: np.ndarray) -> np.ndarray:
     return half + _adj(half)
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    return float(np.max(np.abs(np.linalg.eigvalsh(sym(m))))) if m.size else 0.0
+def _finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """m, checked for a NaN or inf entry (NonFiniteValue) before anything decomposes it."""
+    if not np.isfinite(m).all():
+        raise NonFiniteValue(f"{what} has a non-finite entry")
+    return m
 
 
 def psd_min_eig(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part."""
-    return float(np.min(np.linalg.eigvalsh(sym(m))))
+    return float(np.min(np.linalg.eigvalsh(sym(_finite(m)))))
 
 
 def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
@@ -58,10 +61,12 @@ def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
 def spectrum(h: np.ndarray, dom: Interval) -> tuple:
     """(w, v) with h = v diag(w) v*, of a matrix or each of a (..., n, n) stack.
     Eigenvalues that overshoot a closed endpoint of dom by at most 1e-12
-    (relative) snap onto it; any other outside dom raises SpectrumOutsideDomain."""
+    (relative) snap onto it; any other outside dom raises SpectrumOutsideDomain,
+    and a NaN or inf one NonFiniteValue."""
     w, v = np.linalg.eigh(sym(h))
     ok = dom.mask(w, snap=ENDPOINT_SNAP)
     if not np.all(ok):
+        _finite(w, "spectrum")
         raise SpectrumOutsideDomain(float(w[~ok][0]), dom)
     return w.clip(dom.lo, dom.hi), v
 
@@ -75,7 +80,7 @@ def apply_spectrum(fn, eig: tuple) -> np.ndarray:
 
 def apply_fn(fn, h: np.ndarray) -> np.ndarray:
     """f(h) by spectral calculus, of a matrix or each of a (..., n, n) stack."""
-    return apply_spectrum(fn, spectrum(h, fn.domain))
+    return apply_spectrum(fn, spectrum(_finite(h), fn.domain))
 
 
 # --- projections and blocks -----------------------------------------------------
@@ -93,7 +98,8 @@ def projection_basis(p: np.ndarray) -> np.ndarray:
 
 
 def complement_basis(basis: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of the column span."""
+    """Orthonormal basis of the orthogonal complement of the column span.  Kept for
+    test_acceptance.py::test_02_schur_complement_psd_equivalence_and_inverse_corner."""
     n, k = basis.shape
     if k >= n:
         raise ValueError("no complement: basis already spans")
@@ -119,8 +125,9 @@ def schur_complement(k: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """a - b c^{-1} b* for the blocks of k split along basis/complement.
 
     Raises SingularBlock when the complement block c is numerically singular
-    (an eigenvalue below 1e-12 * (1 + ||c||) in size).
-    """
+    (an eigenvalue below 1e-12 * (1 + ||c||) in size).  Kept for the paper's
+    block-matrix lemma: nothing in the package calls it, but the lemma's test
+    test_acceptance.py::test_02_schur_complement_psd_equivalence_and_inverse_corner does."""
     k = sym(k)
     comp = complement_basis(basis)
     a = compress(k, basis)
@@ -162,8 +169,13 @@ def isometry_draw(rng, n: int) -> tuple:
     return r[..., 0].astype(int), u
 
 
+def sample_window(domain: Interval) -> Interval:
+    """The bounded window of the domain that every check and sample grid draws from."""
+    return domain.clip(CLIP_LEN)
+
+
 def _spectrum_window(domain: Interval) -> tuple:
-    win = domain.clip(CLIP_LEN)
+    win = sample_window(domain)
     lo, hi = win.lo, win.hi
     if not win.lo_closed:
         lo = lo + EDGE_SHRINK * (1.0 + abs(lo))

@@ -21,7 +21,7 @@ extension per refinement round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -40,7 +40,7 @@ from .errors import (
 from .interval import Interval, json_number
 
 __all__ = [
-    "DiscreteMeasure", "OMRep", "OCRep", "SOCRep",
+    "DiscreteMeasure", "OMRep", "OCRep", "SOCRep", "REP_KINDS",
     "form_sum", "eval_form",
     "om_to_soc", "extend_at_endpoint", "substitute_square",
     "recover_atom_weight", "EndpointExtension",
@@ -195,6 +195,9 @@ class SOCRep:
         return eval_form(self, x)
 
 
+REP_KINDS = {"om": OMRep, "oc": OCRep, "soc": SOCRep}
+
+
 # --- evaluation ---------------------------------------------------------------
 
 def form_sum(rep, x, deriv: bool = False):
@@ -327,42 +330,36 @@ def substitute_square(rep: OCRep) -> OCRep:
 
 # --- JSON ----------------------------------------------------------------------
 
+def _scalars(rep) -> list:
+    """The float fields of a representation or its class, in their JSON order."""
+    return [f.name for f in fields(rep) if f.type == "float"]
+
+
 def rep_to_json(rep) -> dict:
     """Serialize a representation to the measure JSON layout."""
-    if isinstance(rep, OMRep):
-        return {"a": rep.a, "b": rep.b, "x0": rep.x0,
-                "atoms_plus": [[r, w] for r, w in rep.mu.atoms if r >= rep.interval.hi],
-                "atoms_minus": [[r, w] for r, w in rep.mu.atoms if r <= rep.interval.lo],
-                "interval": rep.interval.to_json()}
-    if isinstance(rep, OCRep):
-        return {"a": rep.a, "b": rep.b, "c": rep.c, "x0": rep.x0,
-                "atoms_plus": [[r, w] for r, w in rep.mu_plus.atoms],
-                "atoms_minus": [[r, w] for r, w in rep.mu_minus.atoms],
-                "interval": rep.interval.to_json()}
-    if isinstance(rep, SOCRep):
-        return {"a": rep.a,
-                "atoms_plus": [[r, w] for r, w in rep.mu_plus.atoms],
-                "atoms_minus": [[r, w] for r, w in rep.mu_minus.atoms],
-                "interval": rep.interval.to_json()}
-    raise TypeError(f"not a representation: {type(rep).__name__}")
+    if type(rep) not in REP_KINDS.values():
+        raise TypeError(f"not a representation: {type(rep).__name__}")
+    plus, minus = (_split_sides(rep.mu, rep.interval) if rep.kind == "om"
+                   else (rep.mu_plus, rep.mu_minus))
+    return {**{k: getattr(rep, k) for k in _scalars(rep)},
+            "atoms_plus": [list(a) for a in plus.atoms],
+            "atoms_minus": [list(a) for a in minus.atoms],
+            "interval": rep.interval.to_json()}
 
 
 def rep_from_json(d: dict, kind: str):
-    """Parse a representation dict of kind 'om', 'oc' or 'soc'; numbers must be JSON numbers."""
+    """Parse a representation dict of a kind in REP_KINDS; numbers must be JSON numbers."""
+    if kind not in REP_KINDS:
+        raise BadMeasureInput(f"unknown representation kind {kind!r}")
+    cls = REP_KINDS[kind]
     interval = Interval.from_json(d["interval"])
     plus, minus = (tuple((json_number(r), json_number(w)) for r, w in d.get(key, ()))
                    for key in ("atoms_plus", "atoms_minus"))
+    scalars = {k: json_number(d[k]) for k in _scalars(cls)}
     if kind == "om":
-        return OMRep(a=json_number(d["a"]), b=json_number(d["b"]), x0=json_number(d["x0"]),
-                     mu=DiscreteMeasure(plus + minus), interval=interval)
-    if kind == "oc":
-        return OCRep(a=json_number(d["a"]), b=json_number(d["b"]), c=json_number(d["c"]),
-                     x0=json_number(d["x0"]), mu_plus=DiscreteMeasure(plus),
-                     mu_minus=DiscreteMeasure(minus), interval=interval)
-    if kind == "soc":
-        return SOCRep(a=json_number(d["a"]), mu_plus=DiscreteMeasure(plus),
-                      mu_minus=DiscreteMeasure(minus), interval=interval)
-    raise BadMeasureInput(f"unknown representation kind {kind!r}")
+        return cls(**scalars, mu=DiscreteMeasure(plus + minus), interval=interval)
+    return cls(**scalars, mu_plus=DiscreteMeasure(plus), mu_minus=DiscreteMeasure(minus),
+               interval=interval)
 
 
 # --- Poisson-kernel atom recovery ---------------------------------------------

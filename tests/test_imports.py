@@ -1,6 +1,7 @@
 """Every name a module under src/ imports is used in that module, every
-import sits at module level, and every private function, class or method is
-referred to somewhere in the package.
+import sits at module level, every private function, class or method is
+referred to somewhere in the package, and every name in a module's __all__ is
+read by the package, re-exported by it or wrapped by the benchmark's tracer.
 
 There is no linter in the toolchain, and a deletion can leave an import or a
 private helper behind that nothing reads any more; this stdlib ``ast`` pass
@@ -13,6 +14,8 @@ import pathlib
 from collections import Counter
 
 import pytest
+
+from test_api_surface import TRACED
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "loewner"
 # a package's __init__ imports names to re-export them, not to use them
@@ -118,3 +121,50 @@ def test_the_pass_sees_orphaned_private_code():
 
 def test_package_has_no_orphaned_private_code():
     assert orphaned_private_code({p.name: p.read_text() for p in SOURCES}) == []
+
+
+def exported(tree) -> dict:
+    """{name: the module-level statement that defines it} for each name in the
+    module's __all__."""
+    defs, names = {}, []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defs[node.name] = node
+        for target in getattr(node, "targets", ()):
+            if isinstance(target, ast.Name) and target.id == "__all__":
+                names = [c.value for c in node.value.elts]
+            elif isinstance(target, ast.Name):
+                defs[target.id] = node
+    return {name: defs[name] for name in names}
+
+
+def unread_public_names(sources: dict, kept=frozenset()) -> list:
+    """(module, line, name) of each name in a module's __all__ that nothing in
+    the package reads besides its own definition, the package's re-exports
+    included, and that is not in ``kept``, a set of (module, name)."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = sum((references(tree) for tree in trees.values()), Counter())
+    return sorted((module, d.lineno, name) for module, tree in trees.items()
+                  for name, d in exported(tree).items()
+                  if used[name] == references(d)[name] and (module, name) not in kept)
+
+
+def test_the_pass_sees_an_unread_public_name():
+    sources = {"a.py": ('__all__ = ["LIMIT", "read", "exported", "traced", "unread", "again"]\n'
+                        "LIMIT = 3\n"
+                        "def read():\n    return LIMIT\n"
+                        "def exported():\n    pass\n"
+                        "def traced():\n    pass\n"
+                        "def unread():\n    pass\n"
+                        "def again(n):\n    return again(n - 1)\n"),
+               "b.py": "from .a import read\nread()\n",
+               "__init__.py": "from .a import exported\n"}
+    assert unread_public_names(sources, {("a.py", "traced")}) == [
+        ("a.py", 9, "unread"), ("a.py", 11, "again")]
+
+
+def test_every_public_name_is_read_exported_or_traced():
+    # the names the benchmark's tracer wraps need not be read by the package
+    traced = {(module.__name__.rsplit(".", 1)[-1] + ".py", name)
+              for module, names in TRACED.items() for name in names}
+    assert unread_public_names({p.name: p.read_text() for p in SOURCES}, traced) == []

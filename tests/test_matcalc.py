@@ -16,7 +16,7 @@ from loewner import (
     rand_ordered_pair,
     schur_complement,
 )
-from loewner.errors import EmptyDomain, SingularBlock, SpectrumOutsideDomain
+from loewner.errors import EmptyDomain, NonFiniteValue, SingularBlock, SpectrumOutsideDomain
 from loewner.matcalc import (
     complement_basis,
     haar_unitary,
@@ -27,7 +27,7 @@ from loewner.matcalc import (
     min_eig_floor,
     pair_draw,
     projection_basis,
-    spectral_norm,
+    spectrum,
     sym,
 )
 
@@ -64,6 +64,40 @@ def test_apply_fn_snaps_roundoff_at_closed_endpoints():
     assert out[0, 0] == pytest.approx(0.0, abs=1e-6)
 
 
+# --- a NaN or inf never decomposes quietly: NonFiniteValue, inside the taxonomy ------
+
+NAN, INF = np.nan, np.inf
+UNIT = Interval(0.0, 1.0, True, True)
+
+
+def test_psd_min_eig_rejects_a_nan_entry():
+    # unchecked, eigvalsh reads -0.0 here
+    with pytest.raises(NonFiniteValue):
+        psd_min_eig(np.array([[NAN, 0.0], [0.0, 1.0]]))
+
+
+# unchecked, the first three decompose to a NaN eigenvalue and the last two raise
+# numpy's LinAlgError (no convergence), which is not a LoewnerError
+@pytest.mark.parametrize("m", [
+    np.diag([NAN, 0.5]),
+    np.diag([INF, 0.5]),
+    np.array([[0.5, NAN], [NAN, 0.5]]),
+    np.full((3, 3), NAN),
+    np.where(np.eye(4, dtype=bool), 0.5, NAN),
+], ids=["nan-diagonal", "inf-diagonal", "nan-off-diagonal", "all-nan-3x3", "nan-off-4x4"])
+def test_apply_fn_rejects_a_non_finite_entry_before_decomposing(m):
+    with pytest.raises(NonFiniteValue):
+        apply_fn(Power(2.0, UNIT), m)
+
+
+def test_spectrum_reports_a_non_finite_eigenvalue_as_such():
+    # finite entries whose eigensolve overflows: no eigenvalue lies in the domain
+    m = np.full((2, 2), 1e308)
+    assert not np.isfinite(np.linalg.eigvalsh(m)).all()
+    with pytest.raises(NonFiniteValue):
+        spectrum(m, Interval(-INF, INF))
+
+
 def test_sym_of_entries_near_the_float_limit_is_finite():
     # halving before the sum keeps m + m* from overflowing
     m = np.full((2, 2), 1e308, dtype=complex)
@@ -92,7 +126,7 @@ def test_projection_basis_rejects_non_projection():
 def _two_norm_projection_basis(p):
     """The reference: p tested by the spectral norms of p^2 - p and p, then its basis."""
     p = sym(p)
-    if spectral_norm(p @ p - p) > 1e-8 * (1.0 + spectral_norm(p)):
+    if np.linalg.norm(p @ p - p, 2) > 1e-8 * (1.0 + np.linalg.norm(p, 2)):
         raise ValueError("matrix is not an orthogonal projection")
     w, v = np.linalg.eigh(p)
     return v[:, w > 0.5]
@@ -215,7 +249,7 @@ def test_square_respects_compression_only_one_way(seed):
     h = rand_hermitian(rng, 4, Interval(-3.0, 3.0, True, True))
     v = haar_unitary(rng, 4)[:, :2]
     gap = compress(apply_fn(SQUARE, h), v) - apply_fn(SQUARE, compress(h, v))
-    assert psd_min_eig(gap) >= -1e-10 * (1 + spectral_norm(h) ** 2)
+    assert psd_min_eig(gap) >= -1e-10 * (1 + np.linalg.norm(h, 2) ** 2)
 
 
 # --- stacks: one call over a (k, n, n) stack equals k calls, bit for bit ----------
