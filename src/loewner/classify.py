@@ -39,6 +39,7 @@ from .matcalc import (
     compress,
     embed,
     hermitian_draw,
+    inset_window,
     isometry_draw,
     matrix_from_json,
     matrix_to_json,
@@ -367,8 +368,7 @@ def _unit_nodes(rngs, size: int) -> tuple:
 
 def check_loewner(fn, config: CertifyConfig = CertifyConfig()) -> Certificate:
     """Random node sets: every divided-difference matrix must be PSD."""
-    win = sample_window(fn.domain)
-    lo, hi = win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
+    lo, hi = inset_window(fn.domain)
 
     def probe(drawn, size, _):
         nodes = lo + (hi - lo) * drawn(_unit_nodes)[0][:, :size]    # bitwise g.uniform(lo, hi)
@@ -449,9 +449,9 @@ def replay_witness(fn, cert: Certificate) -> float:
     if not w:
         raise ValueError("certificate carries no witness")
     kind = w.get("check")
-    nodes = (json_numbers if kind == "loewner"
-             else lambda zs: np.array([complex(*json_numbers(z)) for z in zs]))
-    read = {"x0": json_number, "t": json_number, "min_eig": json_number, "nodes": nodes,
+    num, nums = partial(json_number, nan=True), partial(json_numbers, nan=True)
+    nodes = nums if kind == "loewner" else lambda zs: np.array([complex(*nums(z)) for z in zs])
+    read = {"x0": num, "t": num, "min_eig": num, "nodes": nodes,
             "h1": matrix_from_json, "h2": matrix_from_json, "p": matrix_from_json}
     x = {k: read[k](w[k]) for k in read if k in w}
     bad = [k for k in x if not np.isfinite(x[k]).all()]

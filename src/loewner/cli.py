@@ -27,7 +27,7 @@ from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
 from .interval import json_flag, json_number, json_numbers, json_object
-from .matcalc import sample_window
+from .matcalc import inset_window
 
 __all__ = ["main"]
 
@@ -82,15 +82,9 @@ def _write_csv(out_dir: str, name: str, header, rows):
     _atomic_write(os.path.join(out_dir, name), "\n".join(lines) + "\n")
 
 
-def _sample_grid(domain) -> np.ndarray:
-    win = sample_window(domain)
-    width = win.hi - win.lo
-    return np.linspace(win.lo + 0.01 * width, win.hi - 0.01 * width, GRID_POINTS)
-
-
 def _value_rows(fn, *tail) -> list:
     """CSV rows (x, f(x), *tail) over the sample grid of fn's domain."""
-    xs = _sample_grid(fn.domain)
+    xs = np.linspace(*inset_window(fn.domain), GRID_POINTS)
     vals = np.asarray(fn.eval_real(xs), dtype=float)
     return [(_fmt(x), _fmt(v), *tail) for x, v in zip(xs, vals)]
 
@@ -241,7 +235,7 @@ def _cmd_measure(spec: dict, args) -> int:
         elif op == "extend":
             ext, delta = measures.extend_at_endpoint(
                 rep, _value(transform, "b", json_number, True))
-            xs = _sample_grid(rep.interval)
+            xs = np.linspace(*inset_window(rep.interval), GRID_POINTS)
             out["extension"] = {
                 "b": ext.b, "delta": delta, "value_at_b": ext.value_at_b,
                 "identity_residual_max": ext.identity_residual(xs),

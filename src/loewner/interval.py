@@ -150,18 +150,18 @@ REAL_LINE = Interval(-math.inf, math.inf)
 
 # JSON readers: every spec parser in the package reads its numbers, flags and
 # objects here
-def json_number(v) -> float:
-    """A JSON number (an int or a float, not a bool or a string) as a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
+def json_number(v, nan: bool = False) -> float:
+    """A JSON number (an int or a float, not a bool, a string or NaN unless ``nan``) as a float."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or (math.isnan(v) and not nan):
         raise TypeError(f"{v!r} is not a JSON number")
     return float(v)
 
 
-def json_numbers(v, nulls: bool = False) -> tuple:
+def json_numbers(v, nulls: bool = False, nan: bool = False) -> tuple:
     """A JSON array of numbers as floats; with ``nulls``, null entries stay None."""
     if not isinstance(v, list):
         raise TypeError(f"{v!r} is not a JSON array of numbers")
-    return tuple(None if c is None and nulls else json_number(c) for c in v)
+    return tuple(None if c is None and nulls else json_number(c, nan) for c in v)
 
 
 def json_flag(v) -> bool:

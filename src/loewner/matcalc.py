@@ -16,7 +16,7 @@ from .interval import Interval
 
 __all__ = [
     "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
-    "sample_window", "projection_basis", "complement_basis", "compress", "embed",
+    "sample_window", "inset_window", "projection_basis", "complement_basis", "compress", "embed",
     "schur_complement", "isometry_draw", "haar_unitary", "hermitian_draw", "rand_hermitian",
     "pair_draw", "rand_ordered_pair", "matrix_to_json", "matrix_from_json",
 ]
@@ -44,6 +44,15 @@ def _finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
     return m
 
 
+def _eig(solve, m: np.ndarray):
+    """solve(sym(m)) for eigh or eigvalsh; NonFiniteValue, not LinAlgError, on a NaN or inf m."""
+    try:
+        return solve(sym(m))
+    except np.linalg.LinAlgError:
+        _finite(m)
+        raise
+
+
 def psd_min_eig(m: np.ndarray) -> float:
     """Smallest eigenvalue of the Hermitian part."""
     return float(np.min(np.linalg.eigvalsh(sym(_finite(m)))))
@@ -55,7 +64,7 @@ def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
     size of the operands m was computed from, since rounding in a difference
     grows with its operands, not with the difference (Weyl's inequality).
     Over a (..., n, n) stack, both are arrays with one entry per matrix."""
-    return np.linalg.eigvalsh(sym(m)).min(-1), -tol * scale
+    return _eig(np.linalg.eigvalsh, m).min(-1), -tol * scale
 
 
 def spectrum(h: np.ndarray, dom: Interval) -> tuple:
@@ -63,7 +72,7 @@ def spectrum(h: np.ndarray, dom: Interval) -> tuple:
     Eigenvalues that overshoot a closed endpoint of dom by at most 1e-12
     (relative) snap onto it; any other outside dom raises SpectrumOutsideDomain,
     and a NaN or inf one NonFiniteValue."""
-    w, v = np.linalg.eigh(sym(h))
+    w, v = _eig(np.linalg.eigh, h)
     ok = dom.mask(w, snap=ENDPOINT_SNAP)
     if not np.all(ok):
         _finite(w, "spectrum")
@@ -88,7 +97,7 @@ def apply_fn(fn, h: np.ndarray) -> np.ndarray:
 def projection_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(p) for an orthogonal projection p.  For
     Hermitian p, ||p^2 - p|| = max |w^2 - w| and ||p|| = max |w| over its eigenvalues w."""
-    w, v = np.linalg.eigh(sym(p))
+    w, v = _eig(np.linalg.eigh, p)
     if not np.max(np.abs(w * w - w)) <= 1e-8 * (1.0 + np.max(np.abs(w))):
         raise ValueError("matrix is not an orthogonal projection")
     cols = v[:, w > 0.5]
@@ -172,6 +181,12 @@ def isometry_draw(rng, n: int) -> tuple:
 def sample_window(domain: Interval) -> Interval:
     """The bounded window of the domain that every check and sample grid draws from."""
     return domain.clip(CLIP_LEN)
+
+
+def inset_window(domain: Interval) -> tuple:
+    """(lo, hi) of the sample window moved 1% of its width inward: Loewner nodes, CLI grids."""
+    win = sample_window(domain)
+    return win.lo + 0.01 * (win.hi - win.lo), win.hi - 0.01 * (win.hi - win.lo)
 
 
 def _spectrum_window(domain: Interval) -> tuple:

@@ -13,15 +13,15 @@ The integrability side conditions of the continuous theory hold automatically
 for finite atom lists and are not represented.  This module also carries the
 measure-level difference-quotient transform (weights scaled by 1/|x0-r|),
 endpoint extension, the square substitution, and Poisson-kernel atom
-recovery from boundary values of the holomorphic extension, integrated by
-breadth-first Gauss-Kronrod (G7-K15) panels with one array evaluation of the
-extension per refinement round.
+recovery from boundary values of the holomorphic extension, integrated on
+Gauss-Kronrod (G7-K15) panels graded toward the atom, then bisected
+breadth-first with one array evaluation of the extension per round.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -280,12 +280,7 @@ def extend_at_endpoint(rep: SOCRep, b: float) -> tuple[EndpointExtension, float]
     sign = -1.0 if right else 1.0
     value_at_b = sign * delta
     stripped = tuple((r, w) for r, w in side.atoms if r != b)
-    if right:
-        quotient = SOCRep(a=rep.a, mu_plus=DiscreteMeasure(stripped),
-                          mu_minus=rep.mu_minus, interval=iv)
-    else:
-        quotient = SOCRep(a=rep.a, mu_plus=rep.mu_plus,
-                          mu_minus=DiscreteMeasure(stripped), interval=iv)
+    quotient = replace(rep, **{"mu_plus" if right else "mu_minus": DiscreteMeasure(stripped)})
     ext = EndpointExtension(b=b, delta=delta, value_at_b=value_at_b,
                             rep=rep, quotient_rep=quotient)
     return ext, delta
@@ -387,29 +382,27 @@ GK_GAUSS[1::2] = _WG + _WG[-2::-1]
 
 QUAD_MAX_ROUNDS = 60
 QUAD_MAX_PANELS = 4096
+GRADE = 4.0  # width ratio of neighbouring starting panels, from eps wide at the atom
+_GRADED = np.append(np.cumsum(GRADE ** np.arange(40)), np.inf)  # far edges in eps, last past all
 
 
-def _gauss_kronrod(fn, lo, hi, tol: float) -> np.ndarray:
-    """Integrals k = 0, 1, ... of fn over [lo[k], hi[k]], each to absolute
-    tolerance ``tol``, by breadth-first G7-K15 bisection.
+def _gauss_kronrod(fn, lo, hi, k, share) -> np.ndarray:
+    """Integrals 0, 1, ... of fn from starting panels (arrays): panel i spans [lo[i], hi[i]]
+    of integral k[i] with absolute tolerance share[i], then G7-K15 bisects breadth-first.
 
     ``fn(t, k)`` takes an (n, 15) array of abscissae, row i on a panel of
     integral k[i], and returns the values there.  Each round makes one fn
     call over every node of every live panel.  A panel is accepted when
-    |K15 - G7| is within its tolerance share; any other is bisected, and each
-    half gets half that share.
+    |K15 - G7| is within its share; any other is bisected, and each half gets
+    half that share, so an integral stays within the sum of its starting shares.
     """
-    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    k = np.arange(lo.size)
-    share = np.full(lo.size, float(tol))
-    total = np.zeros(lo.size)
+    total = np.zeros(k.max() + 1)
     for _ in range(QUAD_MAX_ROUNDS):
         if k.size > QUAD_MAX_PANELS:
-            raise QuadratureFailure(
-                f"Gauss-Kronrod passed {QUAD_MAX_PANELS} live panels")
+            raise QuadratureFailure(f"Gauss-Kronrod passed {QUAD_MAX_PANELS} live panels")
         mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
         vals = fn(mid[:, None] + half[:, None] * GK_NODES, k)
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise NonFiniteValue("integrand is not finite on a quadrature panel")
         kronrod = half * (vals @ GK_KRONROD)
         done = np.abs(kronrod - half * (vals @ GK_GAUSS)) <= share
@@ -417,10 +410,22 @@ def _gauss_kronrod(fn, lo, hi, tol: float) -> np.ndarray:
         live = ~done
         lo, mid, hi = lo[live], mid[live], hi[live]
         lo, hi = np.concatenate((lo, mid)), np.concatenate((mid, hi))
-        k, share = np.tile(k[live], 2), np.tile(0.5 * share[live], 2)
+        k, share = np.concatenate((k[live],) * 2), np.concatenate((0.5 * share[live],) * 2)
         if not k.size:
             return total
     raise QuadratureFailure(f"Gauss-Kronrod did not converge in {QUAD_MAX_ROUNDS} rounds")
+
+
+def _graded_panels(r: float, ends, eps, tol: float) -> tuple:
+    """_gauss_kronrod's (lo, hi, k, share) for integral k from r to ends[k]: panels eps[k],
+    GRADE eps[k], GRADE^2 eps[k], ... wide from r out to ends[k], sharing tol equally."""
+    ends = np.asarray(ends, dtype=float)[:, None]
+    span, side = np.abs(ends - r), np.sign(ends - r)
+    far = np.minimum(np.multiply.outer(eps, _GRADED), span)   # panel edges' distances from r
+    near = np.concatenate((np.zeros_like(span), far[:, :-1]), axis=1)
+    k, i = np.nonzero(near < far)
+    a, b = r + side * near, np.where(far == span, ends, r + side * far)  # each end exact
+    return np.minimum(a, b)[k, i], np.maximum(a, b)[k, i], k, tol / np.bincount(k)[k]
 
 
 def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
@@ -429,10 +434,11 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
     holomorphic extension just above the real axis.
 
     For the two smallest eps, integrates (1/pi) Im f(t + i*eps) over the
-    window with vectorized Gauss-Kronrod panels (split at r, absolute
-    tolerance 5e-11 per side), then applies two-point Richardson
-    extrapolation in eps to remove the O(eps) window leakage.  Every eps must
-    be finite and > 0, and the two smallest must differ.  The largest eps
+    window to absolute tolerance 5e-11 on each side of r.  The integrand peaks
+    eps wide at r, so the Gauss-Kronrod panels start graded from eps wide
+    there (_graded_panels).  Two-point Richardson extrapolation in eps then
+    removes the O(eps) window leakage.  Every eps must be finite and > 0,
+    and the two smallest must differ.  The largest eps
     sets the guard: r must lie at least 10*max(eps) inside the window.
     ``side`` = "-" flips the sign for left-measure atoms.  Raises
     NonFiniteValue on a non-finite integrand value and QuadratureFailure when
@@ -465,7 +471,7 @@ def recover_atom_weight(f, r: float, window: tuple, eps_list=(1e-2, 1e-3, 1e-4),
         z = (t + 1j * eps[k, None]).ravel()
         return sgn * f.eval_complex(z).imag.reshape(t.shape) / math.pi
 
-    parts = _gauss_kronrod(integrand, [lo, r, lo, r], [r, hi, r, hi], 5e-11)
+    parts = _gauss_kronrod(integrand, *_graded_panels(r, (lo, hi, lo, hi), eps, 5e-11))
     m2, m1 = parts[0] + parts[1], parts[2] + parts[3]
     # leakage is O(eps): eliminate the linear term with the two smallest eps
     return float((e1 * m2 - e2 * m1) / (e1 - e2))

@@ -75,7 +75,7 @@ ROUNDTRIP_TOL = 1e-10
 
 CLOSED_FORM_TOL = 1e-12
 RECOVERY_REL_TOL = 1e-2
-RECOVERY_MAX_EVALS = 32
+RECOVERY_MAX_EVALS = 3
 EXTENSION_TOL = 1e-12
 WITNESS_TOL = 1e-10
 
@@ -290,7 +290,8 @@ def test_11_poisson_recovery_within_one_percent(monkeypatch):
     def recover(rep, r, window):
         calls.clear()
         w = recover_atom_weight(MeasureOM(rep), r, window)
-        # one array evaluation per refinement round, not one per abscissa
+        # one array evaluation per round, not per abscissa, and 3 rounds from
+        # starting panels graded toward r
         assert len(calls) <= RECOVERY_MAX_EVALS
         return w
 

@@ -498,6 +498,14 @@ def test_classify_with_nan_anchor_is_eval_error(tmp_path):
     assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
 
 
+def test_classify_with_a_nan_exponent_fails_at_spec_read(tmp_path, capsys):
+    # json.dumps writes the NaN literal; NaN is no JSON number (RFC 8259)
+    spec = write_spec(tmp_path, {"function": {"kind": "power", "alpha": float("nan")},
+                                 "config": FAST})
+    assert main(["classify", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "loewner: bad function JSON: nan is not a JSON number\n"
+
+
 def test_measure_with_nan_weight_is_eval_error(tmp_path):
     rep = {"a": 0.5, "atoms_plus": [[2.0, float("nan")]],
            "interval": {"lo": 0.0, "hi": 1.0}}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from loewner import Interval, REAL_LINE
 from loewner.errors import EmptyDomain
+from loewner.interval import json_number
 
 
 def test_open_interval_excludes_endpoints():
@@ -74,6 +76,16 @@ def test_json_round_trip_with_infinities():
         assert Interval.from_json(iv.to_json()) == iv
     d = Interval(0.0, math.inf).to_json()
     assert d["hi"] == "inf"
+
+
+def test_json_number_rejects_nan_and_reads_a_raw_infinity():
+    # Python's json reads the NaN and Infinity literals; NaN is no number,
+    # and a raw Infinity endpoint parses like the "inf" string
+    with pytest.raises(TypeError):
+        json_number(json.loads("NaN"))
+    assert math.isnan(json_number(json.loads("NaN"), nan=True))
+    raw = Interval.from_json(json.loads('{"lo": 0, "hi": Infinity}'))
+    assert raw == Interval.from_json({"lo": 0, "hi": "inf"}) == Interval(0.0, math.inf)
 
 
 def test_json_flags_must_be_booleans():

@@ -98,6 +98,26 @@ def test_spectrum_reports_a_non_finite_eigenvalue_as_such():
         spectrum(m, Interval(-INF, INF))
 
 
+# numpy's eigensolvers raise LinAlgError (no convergence) on an all-NaN 3x3
+# matrix; each direct caller maps it to NonFiniteValue
+ALL_NAN = np.full((3, 3), NAN)
+
+
+def test_spectrum_of_an_all_nan_matrix_is_non_finite():
+    with pytest.raises(NonFiniteValue):
+        spectrum(ALL_NAN, UNIT)
+
+
+def test_min_eig_floor_of_an_all_nan_matrix_is_non_finite():
+    with pytest.raises(NonFiniteValue):
+        min_eig_floor(ALL_NAN, 1.0)
+
+
+def test_projection_basis_of_an_all_nan_matrix_is_non_finite():
+    with pytest.raises(NonFiniteValue):
+        projection_basis(ALL_NAN)
+
+
 def test_sym_of_entries_near_the_float_limit_is_finite():
     # halving before the sum keeps m + m* from overflowing
     m = np.full((2, 2), 1e308, dtype=complex)

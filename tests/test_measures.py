@@ -35,6 +35,8 @@ from loewner.measures import (
     GK_NODES,
     QUAD_MAX_PANELS,
     QUAD_MAX_ROUNDS,
+    _gauss_kronrod,
+    _graded_panels,
 )
 
 IDENTITY_TOL = 1e-12
@@ -317,6 +319,27 @@ def test_recover_returns_the_built_weight(rep, r, window, kwargs, weight):
     got = recover_atom_weight(MeasureForm(rep), r, window, **kwargs)
     assert type(got) is float
     assert abs(got - weight) <= 1e-9 * weight
+
+
+def test_graded_panels_keep_each_integral_within_its_tolerance():
+    # recover_atom_weight's four integrals of (1/pi) Im f(t + i eps), two eps
+    # times the two sides of r, against their closed form: the antiderivative
+    # a eps t / pi + sum (w / pi) atan((t - r_i) / eps) of the form's terms
+    rep, r, tol = _om((2.0, 1.0), (3.5, 0.4)), 2.0, 5e-11
+    eps, ends = np.array([1e-4, 1e-4, 1e-3, 1e-3]), (1.4, 2.9, 1.4, 2.9)
+    node = MeasureForm(rep)
+
+    def integrand(t, k):
+        return node.eval_complex((t + 1j * eps[k, None]).ravel()).imag.reshape(t.shape) / np.pi
+
+    def antiderivative(t, e):
+        return rep.a * e * t / np.pi + sum(w / np.pi * np.arctan((t - loc) / e)
+                                           for loc, w in rep.mu.atoms)
+
+    got = _gauss_kronrod(integrand, *_graded_panels(r, ends, eps, tol))
+    want = [antiderivative(max(r, end), e) - antiderivative(min(r, end), e)
+            for e, end in zip(eps, ends)]
+    assert np.all(np.abs(got - want) <= tol)
 
 
 class _CountingNode:
