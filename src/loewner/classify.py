@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import DuplicateNodes, LoewnerError, NonFiniteValue
 from .funexpr import MulLinear
-from .interval import json_number, json_numbers
+from .interval import json_fields, json_number, json_numbers
 from .matcalc import (
     apply_fn,
     apply_spectrum,
@@ -99,15 +99,7 @@ class Certificate:
     witness: dict = None
     detail: str = ""
 
-    def to_json(self) -> dict:
-        out = {"property": self.property, "verdict": self.verdict,
-               "trials": self.trials, "tolerance": self.tolerance,
-               "seed": self.seed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.detail:
-            out["detail"] = self.detail
-        return out
+    to_json = json_fields
 
     @staticmethod
     def from_json(d: dict) -> "Certificate":
@@ -415,10 +407,7 @@ class ClassifyResult:
     certificates: dict
     flags: tuple = ()
 
-    def to_json(self) -> dict:
-        return {"certificates": {k: c.to_json()
-                                 for k, c in sorted(self.certificates.items())},
-                "flags": list(self.flags)}
+    to_json = json_fields
 
 
 def classify_all(fn, config: CertifyConfig = CertifyConfig()) -> ClassifyResult:

@@ -26,7 +26,7 @@ import numpy as np
 from . import classify as _classify
 from . import funexpr, measures, processes
 from .errors import LoewnerError
-from .interval import json_flag, json_number, json_numbers, json_object
+from .interval import json_fields, json_flag, json_number, json_numbers, json_object
 from .matcalc import inset_window
 
 __all__ = ["main"]
@@ -69,8 +69,11 @@ def _atomic_write(path: str, data: str):
 
 
 def _write_json(out_dir: str, name: str, obj: dict):
-    _atomic_write(os.path.join(out_dir, name),
-                  json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as err:   # NaN or inf, which JSON cannot hold
+        raise _CliFailure(EVAL_ERROR, f"{name} would hold a non-finite number: {err}") from err
+    _atomic_write(os.path.join(out_dir, name), text + "\n")
 
 
 def _fmt(x: float) -> str:
@@ -168,8 +171,7 @@ def _cmd_classify(spec: dict, args) -> int:
     config = _config_from(spec, args)
     result = _classify.classify_all(fn, config)
     _write_json(args.out, "certificates.json", {
-        "config": {"trials": config.trials, "dims": list(config.dims),
-                   "tol": config.tol, "seed": config.seed},
+        "config": json_fields(config),
         "function": funexpr.to_json(fn),
         "result": result.to_json(),
     })

@@ -31,7 +31,8 @@ from .errors import (
     OutsideClosure,
     UnsupportedNode,
 )
-from .interval import REAL_LINE, Interval, json_flag, json_number, json_numbers, json_object
+from .interval import (REAL_LINE, Interval, json_fields, json_flag, json_number, json_numbers,
+                       json_object)
 from .measures import REP_KINDS, form_sum, rep_from_json, rep_to_json
 from .scanning import closure_value, scan_grid
 
@@ -93,19 +94,8 @@ class FunctionExpr:
         return float(out) if np.ndim(x) == 0 else out
 
     def to_json(self) -> dict:
-        """{"kind": ...} plus every init field: child nodes and intervals as
-        their own JSON, tuples as lists."""
-        out = {"kind": self.kind}
-        for f in fields(self):
-            if not f.init:
-                continue
-            v = getattr(self, f.name)
-            if isinstance(v, (FunctionExpr, Interval)):
-                v = v.to_json()
-            elif isinstance(v, tuple):
-                v = list(v)
-            out[f.name] = v
-        return out
+        """{"kind": ...} plus the node's fields, written by ``json_fields``."""
+        return {"kind": self.kind, **json_fields(self)}
 
     def __call__(self, x):
         return self.eval_real(x)

@@ -7,13 +7,14 @@ finite.  Instances are immutable and hashable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import EmptyDomain
 
-__all__ = ["Interval", "REAL_LINE", "json_number", "json_numbers", "json_flag", "json_object"]
+__all__ = ["Interval", "REAL_LINE", "json_number", "json_numbers", "json_flag", "json_object",
+           "json_fields"]
 
 
 @dataclass(frozen=True)
@@ -127,14 +128,15 @@ class Interval:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Interval":
-        """Parse ``to_json`` output.  A finite end must be a JSON number and a
-        flag a JSON boolean; an absent flag means open."""
+        """Parse ``to_json`` output.  An end must be a JSON number, where a raw
+        Infinity reads like "inf", and a flag a JSON boolean; an absent flag
+        means open."""
         def dec(v):
             if v == "inf":
                 return math.inf
             if v == "-inf":
                 return -math.inf
-            return json_number(v)
+            return json_number(v, nan=True)
 
         return cls(dec(obj["lo"]), dec(obj["hi"]), json_flag(obj.get("lo_closed", False)),
                    json_flag(obj.get("hi_closed", False)))
@@ -151,10 +153,15 @@ REAL_LINE = Interval(-math.inf, math.inf)
 # JSON readers: every spec parser in the package reads its numbers, flags and
 # objects here
 def json_number(v, nan: bool = False) -> float:
-    """A JSON number (an int or a float, not a bool, a string or NaN unless ``nan``) as a float."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or (math.isnan(v) and not nan):
+    """A JSON number (an int or a float, not a bool or a string) as a float; a
+    NaN, an infinity or an integer beyond float range only with ``nan``."""
+    try:
+        x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else None
+    except OverflowError:   # an integer beyond float range
+        x = math.inf if v > 0 else -math.inf
+    if x is None or not (nan or math.isfinite(x)):
         raise TypeError(f"{v!r} is not a JSON number")
-    return float(v)
+    return x
 
 
 def json_numbers(v, nulls: bool = False, nan: bool = False) -> tuple:
@@ -176,3 +183,23 @@ def json_object(v) -> dict:
     if not isinstance(v, dict):
         raise TypeError(f"{v!r} is not a JSON object")
     return v
+
+
+# the JSON writer: every result class and tree node writes its fields here
+def json_fields(obj, names: dict = None) -> dict:
+    """Each init field of dataclass ``obj`` under its own name, or under
+    ``names[name]``, leaving out None and "".  A value with ``to_json`` is
+    written by it, a tuple as a list and a dict by sorted key, each element
+    of either by its own ``to_json`` when it has one."""
+    out = {}
+    for f in fields(obj):
+        v = getattr(obj, f.name)
+        if f.init and v is not None and v != "":
+            out[(names or {}).get(f.name, f.name)] = (
+                [_json(e) for e in v] if isinstance(v, tuple) else
+                {k: _json(v[k]) for k in sorted(v)} if isinstance(v, dict) else _json(v))
+    return out
+
+
+def _json(v):
+    return v.to_json() if hasattr(v, "to_json") else v

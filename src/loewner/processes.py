@@ -23,7 +23,8 @@ from dataclasses import dataclass, replace
 
 from .classify import Certificate, CertifyConfig, check_convex, check_monotone, check_strong
 from .errors import NotRational, StageCertificationFailed
-from .funexpr import FunctionExpr, from_json, to_json
+from .funexpr import FunctionExpr, from_json
+from .interval import json_fields
 from .ratpoly import as_rational
 from .scanning import is_zero_on_grid
 from .transforms import choose_shift, diff_quotient, mul_linear, neg_reciprocal
@@ -41,15 +42,7 @@ class PipelineStage:
     certificate: object = None
 
     def to_json(self) -> dict:
-        out = {"index": self.index, "label": self.label,
-               "function": to_json(self.expr)}
-        if self.point is not None:
-            out["point"] = self.point
-        if self.shift is not None:
-            out["shift"] = self.shift
-        if self.certificate is not None:
-            out["certificate"] = self.certificate.to_json()
-        return out
+        return json_fields(self, {"expr": "function"})
 
 
 @dataclass(frozen=True)
@@ -70,11 +63,7 @@ class PipelineRun:
                 return s
         raise KeyError(f"no stage with index {index}")
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "status": self.status,
-                "points": list(self.points),
-                "stages": [s.to_json() for s in self.stages],
-                "inconsistencies": list(self.inconsistencies)}
+    to_json = json_fields
 
     @staticmethod
     def from_json(d: dict) -> "PipelineRun":

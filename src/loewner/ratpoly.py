@@ -13,6 +13,7 @@ loop here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,7 +30,11 @@ def _P():  # numpy.polynomial.polynomial, looked up on use: loading it costs eve
 
 
 def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+    if isinstance(x, Fraction):
+        return x
+    if not math.isfinite(x):
+        raise NotRational(f"non-finite parameter {x}")
+    return Fraction(x)
 
 
 def _fracs(p) -> np.ndarray:
@@ -112,9 +117,10 @@ class RationalFunction:
 def as_rational(fn) -> RationalFunction:
     """Exact rational form of an expression tree, or NotRational.
 
-    Powers must have integer exponents; catalog functions and compositions
-    are rejected.  Float parameters convert exactly (binary value) so the
-    result is a faithful rational model of what eval_real computes.
+    Powers must have integer exponents and every parameter must be finite;
+    catalog functions and compositions are rejected.  Float parameters
+    convert exactly (binary value) so the result is a faithful rational
+    model of what eval_real computes.
     """
     if isinstance(fn, fe.Constant):
         return RationalFunction((fn.c,))

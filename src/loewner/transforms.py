@@ -25,6 +25,7 @@ from .classify import (
 )
 from .errors import HypothesisViolated, NoFiniteLimit, OutsideClosure
 from .funexpr import Compose, DiffQuot, FunctionExpr, MulLinear, NegRecip
+from .interval import json_fields
 from .scanning import check_bounded, check_negative, check_positive, closure_value, scan_grid
 
 __all__ = [
@@ -80,11 +81,7 @@ class ComposeResult:
     hypothesis_certs: dict         # the outer/inner hypothesis checks
 
     def to_json(self) -> dict:
-        return {"mode": self.mode, "claim": self.claim,
-                "function": self.expr.to_json(),
-                "certificate": self.certificate.to_json(),
-                "hypotheses": {k: c.to_json()
-                               for k, c in sorted(self.hypothesis_certs.items())}}
+        return json_fields(self, {"expr": "function", "hypothesis_certs": "hypotheses"})
 
 
 def compose_checked(outer: FunctionExpr, inner: FunctionExpr, mode: str,

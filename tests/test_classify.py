@@ -9,6 +9,7 @@ from catalog import CUBE, ID_POS, RECIP, SQRT, SQUARE, random_om_rep
 
 from loewner import (
     Affine,
+    Catalog,
     Certificate,
     CertifyConfig,
     Compose,
@@ -358,6 +359,17 @@ def test_classify_all_flags_nothing_for_sqrt():
     assert verdicts["monotone"] == "pass"
     assert verdicts["loewner"] == "pass"
     assert verdicts["halfplane"] == "pass"
+    assert result.flags == ()
+
+
+@pytest.mark.parametrize("fn", [Catalog("log"), Catalog("power_diff_mirror", {"alpha": 0.5})],
+                         ids=["log", "power_diff_mirror"])
+def test_classify_all_on_catalog_functions(fn):
+    # monotone but not convex: the halfplane check reads the catalog's complex channel
+    result = classify_all(fn)
+    verdicts = {k: c.verdict for k, c in result.certificates.items()}
+    assert verdicts == {"monotone": "pass", "convex": "fail", "strong": "fail",
+                        "loewner": "pass", "halfplane": "pass"}
     assert result.flags == ()
 
 

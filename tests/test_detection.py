@@ -29,6 +29,11 @@ def near_linear_power(delta: float) -> Power:
     return Power(1.0 + delta)
 
 
+def near_square_power(delta: float) -> Power:
+    """x^(2 + delta) on [0, inf): not operator convex for delta > 0."""
+    return Power(2.0 + delta)
+
+
 # (family, parameter, check, the trial or node set the fail was found at)
 FLOORS = [
     (near_cubic, 1e-2, "monotone", 3),
@@ -38,6 +43,7 @@ FLOORS = [
     (near_linear_power, 1e-6, "monotone", 2),
     (near_linear_power, 1e-6, "loewner", 2),
     (near_linear_power, 1e-6, "halfplane", 2),
+    (near_square_power, 1e-6, "convex", 7),
 ]
 
 

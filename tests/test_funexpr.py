@@ -107,6 +107,7 @@ def test_eval_complex_principal_branch():
     (Power(0.5), 4.0, 0.25),
     (Reciprocal(Interval(0.1, 10.0)), 2.0, -0.25),
     (Affine(3.0, 1.0, REAL_LINE), 0.7, 3.0),
+    (Power(0.0), 2.0, 0.0),
 ])
 def test_derivatives_match_calculus(fn, x, expected):
     assert abs(fn.eval_deriv(x) - expected) < DERIV_TOL
@@ -172,6 +173,12 @@ def test_diffquot_center_at_endpoint_uses_limit():
         f.eval_real(0.0)
 
 
+def test_diffquot_center_at_the_right_endpoint_opens_it():
+    f = DiffQuot(Power(2.0, Interval(0.0, 1.0, True, True)), 1.0)  # x + 1
+    assert f.domain == Interval(0.0, 1.0, lo_closed=True)
+    assert f.eval_real(0.5) == 1.5
+
+
 def test_diffquot_center_outside_closure_rejected():
     with pytest.raises(OutsideClosure):
         DiffQuot(Reciprocal(Interval(0.1, 10.0)), 20.0)
@@ -194,6 +201,17 @@ def test_diffquot_derivative_next_to_an_endpoint_center():
     f = DiffQuot(Power(0.5), 0.0)
     for x in (1e-9, 5e-9, 1e-8):
         assert f.eval_deriv(x) == pytest.approx(-0.5 * x**-1.5, rel=1e-9)
+
+
+def test_a_zero_at_an_evaluation_point_is_a_domain_error():
+    unit = Interval(0.0, 1.0, True, True)
+    with pytest.raises(DomainError):
+        NegRecip(Affine(1.0, -0.5, unit))(0.5)
+    # the double root (x - r)^2 lies between scan points 0.500 and 0.501, so
+    # the constructor accepts the quotient; evaluating at r still raises
+    r = 1025 / 2048
+    with pytest.raises(DomainError):
+        Quotient((1.0,), (r * r, -2 * r, 1.0), unit)(r)
 
 
 def test_negrecip_eval():

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from loewner import Interval, REAL_LINE
 from loewner.errors import EmptyDomain
-from loewner.interval import json_number
+from loewner.interval import json_fields, json_number
 
 
 def test_open_interval_excludes_endpoints():
@@ -86,6 +87,33 @@ def test_json_number_rejects_nan_and_reads_a_raw_infinity():
     assert math.isnan(json_number(json.loads("NaN"), nan=True))
     raw = Interval.from_json(json.loads('{"lo": 0, "hi": Infinity}'))
     assert raw == Interval.from_json({"lo": 0, "hi": "inf"}) == Interval(0.0, math.inf)
+
+
+def test_json_number_rejects_infinities_and_integers_beyond_float_range():
+    big = 10 ** 400
+    for v in (big, -big, json.loads("1e999"), json.loads("-Infinity")):
+        with pytest.raises(TypeError):
+            json_number(v)
+    assert (json_number(big, nan=True), json_number(-big, nan=True)) == (math.inf, -math.inf)
+    assert Interval.from_json({"lo": 0, "hi": big}) == Interval(0.0, math.inf)
+
+
+def test_json_fields_writes_each_init_field_by_the_writer_rules():
+    @dataclass(frozen=True)
+    class Row:
+        name: str
+        note: str = ""
+        missing: float = None
+        span: Interval = REAL_LINE
+        parts: tuple = ()
+        table: dict = None
+        derived: float = field(init=False, default=1.0)
+
+    unit = Interval(0.0, 1.0)
+    out = json_fields(Row("r", parts=(unit, 2.0), table={"b": unit, "a": 1}), {"span": "domain"})
+    assert out == {"name": "r", "domain": REAL_LINE.to_json(), "parts": [unit.to_json(), 2.0],
+                   "table": {"a": 1, "b": unit.to_json()}}
+    assert list(out["table"]) == ["a", "b"]
 
 
 def test_json_flags_must_be_booleans():

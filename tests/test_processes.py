@@ -18,7 +18,7 @@ from loewner import (
     main_cycle,
     star_process,
 )
-from loewner.errors import StageCertificationFailed
+from loewner.errors import NonFiniteValue, StageCertificationFailed
 
 from catalog import SQRT, SQUARE, interior_grid
 
@@ -91,6 +91,13 @@ def test_main_cycle_constant_seed_stops_at_the_soc_stage():
     run = main_cycle(Constant(2.0, Interval(0.0, 3.0)), (1.0, 2.0), cycles=3)
     assert run.status == "terminated_zero"
     assert [s.label for s in run.stages] == ["OM", "SOC"]
+
+
+@pytest.mark.parametrize("c", [np.inf, np.nan])
+def test_main_cycle_of_a_non_finite_constant_raises_non_finite_value(c):
+    # no rational form, so the zero test of the SOC stage scans a grid of NaNs
+    with np.errstate(all="ignore"), pytest.raises(NonFiniteValue):
+        main_cycle(Constant(c), (0.5,))
 
 
 @pytest.mark.parametrize("process, counts", [

@@ -169,6 +169,13 @@ def test_as_rational_rejects_transcendental_nodes():
         as_rational(Compose(Power(2.0), Power(2.0, Interval(-1.0, 1.0))))
 
 
+@pytest.mark.parametrize("fn", [Constant(np.inf), Constant(np.nan), Affine(1.0, np.inf)],
+                         ids=["constant-inf", "constant-nan", "affine-inf"])
+def test_as_rational_rejects_non_finite_parameters(fn):
+    with pytest.raises(NotRational):
+        as_rational(fn)
+
+
 def test_rational_degree_of_expressions():
     assert as_rational(Quotient((1.0, 2.0), (1.0, 1.0), Interval(-1.0, 9.0))).degree == 1
     assert as_rational(Constant(4.0)).degree == 0

@@ -149,6 +149,17 @@ def test_closure_value_inside_at_an_open_end_and_outside():
         closure_value(Reciprocal(Interval(0.0, 1.0)), 0.0)
 
 
+def test_endpoint_limit_rejects_values_that_blow_up_or_overflow():
+    with pytest.raises(NoFiniteLimit, match="blow up"):
+        closure_value(Power(-4.0, Interval(0.0, 1.0)), 0.0)
+    steep = Power(-200.0, Interval(0.0, 1.0))  # inf at every approach point
+    with np.errstate(over="ignore"):
+        with pytest.raises(NoFiniteLimit, match="no finite limit"):
+            closure_value(steep, 0.0)
+        with pytest.raises(Unbounded, match="non-finite value on scan grid"):
+            check_bounded(steep, steep.domain)
+
+
 def _limit_probes(domain, end):
     seen = []
     endpoint_limit(lambda x: seen.append(x) or 1.0, domain, end)

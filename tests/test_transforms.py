@@ -117,6 +117,15 @@ def test_compose_rejects_non_monotone_outer():
     assert exc.value.clause == "outer-not-monotone"
 
 
+def test_compose_rejects_an_outer_that_only_the_divided_differences_catch():
+    # x + 1e-3 x^3 on [0, 1] passes the monotone check at the default config
+    outer = Quotient((0.0, 1.0, 0.0, 1e-3), (1.0,), Interval(0.0, 1.0, True, True))
+    with pytest.raises(HypothesisViolated) as exc:
+        compose_checked(outer, RECIP, "convex")
+    assert exc.value.clause == "outer-not-monotone"
+    assert "divided-difference" in str(exc.value)
+
+
 def test_compose_rejects_negative_value_at_zero():
     outer = Affine(1.0, -1.0)  # monotone, but -1 at 0
     with pytest.raises(HypothesisViolated) as exc:
