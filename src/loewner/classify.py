@@ -36,6 +36,7 @@ from .interval import json_fields, json_number, json_numbers
 from .matcalc import (
     apply_fn,
     apply_spectrum,
+    clears_floor,
     compress,
     embed,
     hermitian_draw,
@@ -51,6 +52,7 @@ from .matcalc import (
     rand_ordered_pair,
     sample_window,
     spectrum,
+    sym,
 )
 from .scanning import is_zero_on_grid
 
@@ -64,7 +66,7 @@ __all__ = [
 T_DRAWS = 8                      # random Jensen weights per convexity trial
 LOEWNER_SETS = 64                # node sets per divided-difference check
 LOEWNER_SIZES = (2, 3, 4, 5, 6, 7, 8)
-CHUNK = 128                      # most trials drawn and evaluated together
+CHUNK = 512                      # most trials drawn and evaluated together
 VERDICTS = ("pass", "fail", "inconclusive")
 # (a, b): a pass of check a implies a pass of check b; by Loewner's theorem,
 # monotone, loewner and halfplane imply one another
@@ -149,6 +151,8 @@ def _scan(prop: str, config: CertifyConfig, sizes: tuple, probe, memo, trials):
         drawn = partial(_DRAWS.drawn, config.seed, size, members)
         for part, (owner, gap, scale, fields) in enumerate(probe(drawn, size, first)):
             finite = np.isfinite(gap).all(axis=(-2, -1))
+            if len(members) > 1 and finite.all() and clears_floor(gap, scale, config.tol):
+                continue
             mn, floor = min_eig_floor(gap if finite.all() else
                                       np.where(finite[:, None, None], gap, 0.0), scale, config.tol)
             for i in np.flatnonzero(~finite | (mn < floor))[:1]:
@@ -214,25 +218,30 @@ def _monotone_gap(f1, f2) -> tuple:
 
 def _mix(h1, h2, t, dom) -> tuple:
     """The spectrum of t h1 + (1-t) h2."""
-    return spectrum(t * h1 + (1.0 - t) * h2, dom)
+    mix = t * h1
+    mix += (1.0 - t) * h2
+    return spectrum(mix, dom)
 
 
 def _jensen_gap(fn, f1, f2, t, mix) -> tuple:
     """t f(h1) + (1-t) f(h2) - f(t h1 + (1-t) h2) from f(h1), f(h2), _mix(h1, h2, t)."""
     fm = apply_spectrum(fn, mix)
-    return t * f1 + (1.0 - t) * f2 - fm, _scale(f1, f2, fm)
+    gap = t * f1
+    gap += (1.0 - t) * f2
+    gap -= fm
+    return gap, _scale(f1, f2, fm)
 
 
 def _davis_gap(fn, fh, v, corner) -> tuple:
     """V*f(h)V - f(V*hV) for an isometry V, given fh = f(h), corner = eig(V*hV)."""
     fc = apply_spectrum(fn, corner)
-    return compress(fh, v) - fc, _scale(fh, fc)
+    return sym(compress(fh, v) - fc), _scale(fh, fc)
 
 
 def _strong_gap(fn, fh, v, corner) -> tuple:
     """f(h) - V f(V*hV) V* for an isometry V, given fh = f(h), corner = eig(V*hV)."""
     fc = apply_spectrum(fn, corner)
-    return fh - embed(fc, v), _scale(fh, fc)
+    return sym(fh - embed(fc, v)), _scale(fh, fc)
 
 
 # --- monotonicity -----------------------------------------------------------------
@@ -266,7 +275,7 @@ def _corner_parts(fn, check, gap, ranks, u, n, h, fh):
     for r in np.flatnonzero(np.bincount(ranks)):
         owner = np.flatnonzero(ranks == r)
         v = u[owner, :, :r]
-        corner = spectrum(compress(h[owner], v), fn.domain)
+        corner = spectrum(sym(compress(h[owner], v)), fn.domain)
         yield (owner, *gap(fn, fh[owner], v, corner),
                lambda i, h=h[owner], v=v: {"check": check, "dim": n, "h1": h[i],
                                            "p": v[i] @ v[i].conj().T})
@@ -456,7 +465,7 @@ def replay_witness(fn, cert: Certificate) -> float:
     elif kind in ("davis", "strong"):
         h, v = x["h1"], projection_basis(x["p"])
         gap, _ = (_davis_gap if kind == "davis" else _strong_gap)(
-            fn, apply_fn(fn, h), v, spectrum(compress(h, v), fn.domain))
+            fn, apply_fn(fn, h), v, spectrum(sym(compress(h, v)), fn.domain))
     else:
         raise ValueError(f"unknown witness check {kind!r}")
     return psd_min_eig(gap)

@@ -55,6 +55,8 @@ def _load_spec(path: str) -> dict:
         raise _CliFailure(
             PARSE_ERROR,
             f"spec is not valid JSON at byte offset {err.pos}: {err.msg}") from err
+    except ValueError as err:   # bytes that are not UTF-8, an over-long integer literal
+        raise _CliFailure(PARSE_ERROR, f"spec is not valid JSON: {err}") from err
 
 
 def _atomic_write(path: str, data: str):

@@ -1,8 +1,10 @@
 """Hermitian matrix utilities for the operator-order tests.
 
-Everything works on complex ndarrays.  Inputs are symmetrized (Hermitian
-part) before eigendecomposition so tiny asymmetries from upstream arithmetic
-cannot leak into eigenvalues.  Random objects draw from an explicit
+Everything works on complex ndarrays.  A matrix is symmetrized (Hermitian
+part) once, where arithmetic that is not exactly Hermitian makes it: samplers,
+``apply_spectrum``, inputs of ``apply_fn``, ``psd_min_eig`` and ``projection_basis``,
+the checks' V*mV and VmV*.  ``spectrum``, ``min_eig_floor`` and ``clears_floor``
+take it as it is.  Random objects draw from an explicit
 ``numpy.random.Generator`` — nothing here touches global state.  Samplers also
 map what their ``*_draw`` drew from generators (domain-free arrays) onto a domain.
 """
@@ -16,7 +18,8 @@ from .interval import Interval
 
 __all__ = [
     "sym", "spectrum", "apply_spectrum", "apply_fn", "psd_min_eig", "min_eig_floor",
-    "sample_window", "inset_window", "projection_basis", "complement_basis", "compress", "embed",
+    "clears_floor", "sample_window", "inset_window", "projection_basis", "complement_basis",
+    "compress", "embed",
     "schur_complement", "isometry_draw", "haar_unitary", "hermitian_draw", "rand_hermitian",
     "pair_draw", "rand_ordered_pair", "matrix_to_json", "matrix_from_json",
 ]
@@ -34,7 +37,8 @@ def _adj(m: np.ndarray) -> np.ndarray:
 def sym(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m*)/2 of a matrix or of each in a (..., n, n) stack."""
     half = 0.5 * np.asarray(m, dtype=complex)  # halve first: m + m* overflows near 1e308
-    return half + _adj(half)
+    half += _adj(half)
+    return half
 
 
 def _finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
@@ -45,9 +49,10 @@ def _finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
 
 
 def _eig(solve, m: np.ndarray):
-    """solve(sym(m)) for eigh or eigvalsh; NonFiniteValue, not LinAlgError, on a NaN or inf m."""
+    """solve(m) for eigh or eigvalsh of a Hermitian m, as complex; NonFiniteValue,
+    not LinAlgError, on a NaN or inf m."""
     try:
-        return solve(sym(m))
+        return solve(np.asarray(m, dtype=complex))
     except np.linalg.LinAlgError:
         _finite(m)
         raise
@@ -59,7 +64,7 @@ def psd_min_eig(m: np.ndarray) -> float:
 
 
 def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
-    """(smallest eigenvalue of the Hermitian part, -tol * scale): the matrix
+    """(smallest eigenvalue of the Hermitian matrix m, -tol * scale): the matrix
     counts as PSD when the first is not below the second.  ``scale`` is the
     size of the operands m was computed from, since rounding in a difference
     grows with its operands, not with the difference (Weyl's inequality).
@@ -67,8 +72,31 @@ def min_eig_floor(m: np.ndarray, scale, tol: float = 1e-9) -> tuple:
     return _eig(np.linalg.eigvalsh, m).min(-1), -tol * scale
 
 
+def clears_floor(m: np.ndarray, scale, tol: float) -> bool:
+    """True when np.linalg.cholesky(m + sI), s = tol * scale / 2, shows that no
+    matrix of the finite Hermitian (k, n, n) stack m has min_eig_floor below its
+    floor; False when it fails, and without trying it unless every matrix has
+    s > 4 (n+1)^2 u (||m||_inf + s), u = 2^-53 (so never at tol = 0).
+
+    A Cholesky factorization that runs to completion on a = m + sI is exact for
+    some a + e with ||e||_2 <= n gamma_(n+1) ||a + e||_2 (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, Thm 10.3), about (n+1)^2 u ||a||_2,
+    so lambda_min(m) >= -s - (n+1)^2 u (||m||_inf + s); backward stable eigvalsh
+    errs by a like bound.  Twice each, for complex arithmetic, is below s where
+    the screen runs, so eigvalsh's smallest eigenvalue is at least -2s = -tol * scale."""
+    s = np.asarray(tol * scale / 2, dtype=float)
+    n = m.shape[-1]
+    if not np.all(s > 4 * (n + 1) ** 2 * 2.0 ** -53 * (np.abs(m).sum(-1).max(-1) + s)):
+        return False
+    try:
+        np.linalg.cholesky(m + s[..., None, None] * np.eye(n))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def spectrum(h: np.ndarray, dom: Interval) -> tuple:
-    """(w, v) with h = v diag(w) v*, of a matrix or each of a (..., n, n) stack.
+    """(w, v) with h = v diag(w) v*, of a Hermitian matrix or each of a (..., n, n) stack.
     Eigenvalues that overshoot a closed endpoint of dom by at most 1e-12
     (relative) snap onto it; any other outside dom raises SpectrumOutsideDomain,
     and a NaN or inf one NonFiniteValue."""
@@ -89,7 +117,7 @@ def apply_spectrum(fn, eig: tuple) -> np.ndarray:
 
 def apply_fn(fn, h: np.ndarray) -> np.ndarray:
     """f(h) by spectral calculus, of a matrix or each of a (..., n, n) stack."""
-    return apply_spectrum(fn, spectrum(_finite(h), fn.domain))
+    return apply_spectrum(fn, spectrum(sym(_finite(h)), fn.domain))
 
 
 # --- projections and blocks -----------------------------------------------------
@@ -97,7 +125,7 @@ def apply_fn(fn, h: np.ndarray) -> np.ndarray:
 def projection_basis(p: np.ndarray) -> np.ndarray:
     """Orthonormal columns spanning range(p) for an orthogonal projection p.  For
     Hermitian p, ||p^2 - p|| = max |w^2 - w| and ||p|| = max |w| over its eigenvalues w."""
-    w, v = _eig(np.linalg.eigh, p)
+    w, v = _eig(np.linalg.eigh, sym(p))
     if not np.max(np.abs(w * w - w)) <= 1e-8 * (1.0 + np.max(np.abs(w))):
         raise ValueError("matrix is not an orthogonal projection")
     cols = v[:, w > 0.5]

@@ -21,9 +21,9 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .classify import Certificate, CertifyConfig, check_convex, check_monotone, check_strong
+from .classify import CertifyConfig, check_convex, check_monotone, check_strong
 from .errors import NotRational, StageCertificationFailed
-from .funexpr import FunctionExpr, from_json
+from .funexpr import FunctionExpr
 from .interval import json_fields
 from .ratpoly import as_rational
 from .scanning import is_zero_on_grid
@@ -64,21 +64,6 @@ class PipelineRun:
         raise KeyError(f"no stage with index {index}")
 
     to_json = json_fields
-
-    @staticmethod
-    def from_json(d: dict) -> "PipelineRun":
-        stages = []
-        for s in d["stages"]:
-            cert = (Certificate.from_json(s["certificate"])
-                    if "certificate" in s else None)
-            stages.append(PipelineStage(index=s["index"], label=s["label"],
-                                        expr=from_json(s["function"]),
-                                        point=s.get("point"),
-                                        shift=s.get("shift"),
-                                        certificate=cert))
-        return PipelineRun(kind=d["kind"], stages=tuple(stages),
-                           points=tuple(d["points"]), status=d["status"],
-                           inconsistencies=tuple(d.get("inconsistencies", ())))
 
 
 _CHECKS = {"OM": check_monotone, "OC": check_convex, "SOC": check_strong}

@@ -494,7 +494,7 @@ def test_chunks_are_two_single_trials_then_the_cap():
         yield np.arange(sizes[-1]), np.stack([np.eye(size)] * sizes[-1]), 1.0, None
 
     assert _search("synthetic", CertifyConfig(), 300, (2,), probe).verdict == "pass"
-    assert sizes == [1, 1, 128, 128, 42]
+    assert sizes == [1, 1, 298]
 
 
 def _synthetic_probe(outcomes):

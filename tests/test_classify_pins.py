@@ -388,18 +388,21 @@ def test_shared_certificates_equal_standalone_ones(fn, config):
 
 
 # Eigendecompositions (eigh and eigvalsh calls) of one default-config
-# classify_all on a passing input, in chunks [0], [1], then up to 128 trials,
+# classify_all on a passing input, in chunks [0], [1], then up to 512 trials,
 # with strong convexity's second route the (x - x0) f Loewner check and the
-# halfplane check a search of 64 Pick matrices (1,046 in chunks that doubled
-# up to 64 trials; 1,017 when the halfplane check was a grid with no
-# eigensolve; 1,185 when the second route was convexity of -1/f on the draws
-# of f's convexity search, 2,003 when that ran its own search in chunks of 32;
-# 502 when monotone applied f to a trial group's h2 and its h1 in two calls).
-CLASSIFY_MAX_EIGENSOLVES = 481
+# halfplane check a search of 64 Pick matrices, and a Cholesky screen in place
+# of eigvalsh on each stack of gaps of more than one trial that clears its
+# floors (1,046 in chunks that doubled up to 64 trials; 1,017 when the
+# halfplane check was a grid with no eigensolve; 1,185 when the second route
+# was convexity of -1/f on the draws of f's convexity search, 2,003 when that
+# ran its own search in chunks of 32; 502 when monotone applied f to a trial
+# group's h2 and its h1 in two calls; 481 in chunks of up to 128 trials with
+# no screen).
+CLASSIFY_MAX_EIGENSOLVES = 112
 # Matrices those calls decompose (the sum of their stack sizes): 9,192 before
 # monotone, convex and strong shared each trial group's first draw, when convex
-# decomposed its h1 and strong its h again.
-CLASSIFY_MAX_DECOMPOSED = 8596
+# decomposed its h1 and strong its h again; 8,596 with no screen.
+CLASSIFY_MAX_DECOMPOSED = 4834
 
 
 def _classify_all_stacks(monkeypatch) -> list:

@@ -160,6 +160,20 @@ def test_unparsable_json_reports_byte_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("raw", [
+    b'{"function": {"kind": "power", "alpha": 1' + b"0" * 5000 + b"}}",
+    b'{"function": "\xff"}',
+], ids=["5001-digit-integer", "stray-0xff-byte"])
+def test_json_that_python_rejects_with_a_value_error_is_parse_error(tmp_path, capsys, raw):
+    # json.loads raises a plain ValueError past 4,300 digits, UnicodeDecodeError on \xff
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["classify", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("loewner: spec is not valid JSON") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_spec_file_is_parse_error(tmp_path, capsys):
     assert main(["classify", "--spec", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 2

@@ -18,6 +18,7 @@ from loewner import (
 )
 from loewner.errors import EmptyDomain, NonFiniteValue, SingularBlock, SpectrumOutsideDomain
 from loewner.matcalc import (
+    clears_floor,
     complement_basis,
     haar_unitary,
     hermitian_draw,
@@ -284,15 +285,49 @@ def _streams(n, k=5):
 
 @pytest.mark.parametrize("n", SIZES)
 def test_stacked_apply_sym_and_floor_equal_per_matrix_calls(n):
-    hs = np.stack([rand_hermitian(g, n, STACK_DOMAIN) for g in _streams(n)])
+    # 64 matrices: more than the 43 trials of one size in a default chunk of 298
+    hs = np.stack([rand_hermitian(g, n, STACK_DOMAIN) for g in _streams(n, 64)])
     ms = hs + 0.1j * hs.real  # not Hermitian, so sym has work to do
     assert np.array_equal(apply_fn(RECIP, hs), np.stack([apply_fn(RECIP, h) for h in hs]))
     assert np.array_equal(sym(ms), np.stack([sym(m) for m in ms]))
-    scales = np.abs(ms).sum(-1).max(-1)
-    mn, floor = min_eig_floor(ms - 5.0 * np.eye(n), scales, 1e-9)
-    singles = [min_eig_floor(m - 5.0 * np.eye(n), s, 1e-9) for m, s in zip(ms, scales)]
+    # the floor test takes Hermitian gaps, as the checks make them
+    gaps, scales = sym(ms) - 5.0 * np.eye(n), np.abs(ms).sum(-1).max(-1)
+    mn, floor = min_eig_floor(gaps, scales, 1e-9)
+    singles = [min_eig_floor(m, s, 1e-9) for m, s in zip(gaps, scales)]
     assert mn.tolist() == [s[0] for s in singles]
     assert floor.tolist() == [s[1] for s in singles]
+
+
+# --- the Cholesky screen of the floor test --------------------------------------
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 8),
+       scale=st.floats(-12.0, 12.0).map(lambda e: 10.0 ** e),
+       tol=st.sampled_from([0.0, 1e-15, 1e-9]),
+       cs=st.lists(st.tuples(st.sampled_from([0.5, 1.0]), st.floats(-0.05, 0.05)),
+                   min_size=1, max_size=6))
+def test_cholesky_screen_agrees_with_eigvalsh(seed, n, scale, tol, cs):
+    # smallest eigenvalue -c tol scale, c near 1/2 (the screen's shift) or
+    # near 1 (the floor); the rest in [scale / 1000, scale)
+    rng = np.random.default_rng(seed)
+    ms = []
+    for base, dc in cs:
+        w = np.append(-(base + dc) * tol * scale, scale * rng.uniform(1e-3, 1.0, n - 1))
+        u = haar_unitary(rng, n)
+        ms.append(sym((u * w) @ u.conj().T))
+    ms, scales = np.stack(ms), np.full(len(cs), scale)
+    mn, floor = min_eig_floor(ms, scales, tol)
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "cholesky", lambda a, c=np.linalg.cholesky: calls.append(a) or c(a))
+        cleared = clears_floor(ms, scales, tol)
+    # the screened below-floor mask (none where cleared, else eigvalsh's) is eigvalsh's
+    assert not (cleared and (mn < floor).any())
+    s = tol * scales / 2
+    if not np.all(s > 4 * (n + 1) ** 2 * 2.0 ** -53 * (np.abs(ms).sum(-1).max(-1) + s)):
+        assert not calls     # where its bound fails, the screen stands down
+    elif all(base + dc < 0.49 for base, dc in cs):
+        assert cleared
 
 
 SAMPLERS = {

@@ -9,7 +9,6 @@ from loewner import (
     CertifyConfig,
     Constant,
     Interval,
-    PipelineRun,
     Power,
     Quotient,
     as_rational,
@@ -204,31 +203,6 @@ def test_backward_om_stage_defaults_to_zero_shift():
     f0 = Power(0.5, Interval(0.0, 2.0, True, True))
     run = backward_process(f0, (1.0, 0.0), shifts=(-3.0,))
     assert run.stage(-3).shift == 0.0
-
-
-# --- serialization -----------------------------------------------------------
-
-def test_pipeline_run_json_round_trip():
-    run = main_cycle(SQRT, (1.0, 0.0))
-    back = PipelineRun.from_json(run.to_json())
-    assert back.kind == run.kind and back.status == run.status
-    assert back.points == run.points
-    assert [s.index for s in back.stages] == [s.index for s in run.stages]
-    assert [s.label for s in back.stages] == [s.label for s in run.stages]
-    assert [s.point for s in back.stages] == [s.point for s in run.stages]
-    for a, b in zip(run.stages, back.stages):
-        for x in interior_grid(a.expr.domain, 40):
-            assert b.expr.eval_real(x) == a.expr.eval_real(x)
-
-
-def test_pipeline_run_json_keeps_certificates():
-    run = backward_process(Power(0.5, Interval(0.0, 2.0, True, True)),
-                           (1.0, 0.0), shifts=(-3.0, 0.0),
-                           certify=True, config=QUICK)
-    back = PipelineRun.from_json(run.to_json())
-    assert all(s.certificate is not None for s in back.stages)
-    assert [s.certificate.verdict for s in back.stages] == ["pass"] * 4
-    assert (back.stage(-1).shift, back.stage(-3).shift) == (-3.0, 0.0)
 
 
 def test_stage_lookup_missing_index():
